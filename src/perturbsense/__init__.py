@@ -27,6 +27,7 @@ from .operators import (
     StateVector,
     evolve,
     expectation,
+    geometric_tensor,
     hermitian_eig,
     integrate_operator,
 )
@@ -45,6 +46,7 @@ from .static_estimation import (
     QfiMatrix,
     UhlmannMatrix,
     bound_b,
+    make_report,
     qfi_single,
     qfim_static,
     quantumness_r,
@@ -56,6 +58,7 @@ from .static_estimation import (
 from .dynamic_estimation import (
     KOperator,
     TimeScan,
+    dynamic_report,
     k_operator_quadrature,
     k_operator_spectral,
     qfi_dynamic_single,
@@ -104,13 +107,16 @@ __all__ = [
     "angle_decomposition",
     "bound_b",
     "build",
+    "dynamic_report",
     "evolve",
     "expectation",
     "first_order_correction",
+    "geometric_tensor",
     "hermitian_eig",
     "integrate_operator",
     "k_operator_quadrature",
     "k_operator_spectral",
+    "make_report",
     "models",
     "oracle",
     "overlaps",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -27,7 +28,7 @@ import sys
 import numpy as np
 
 from . import models
-from .dynamic_estimation import k_operator_spectral, qfim_dynamic, scan_time
+from .dynamic_estimation import dynamic_report, scan_time
 from .errors import (
     DegeneracyError,
     FiniteDifferenceError,
@@ -191,20 +192,12 @@ def _run_static(args) -> str:
     return "\n".join([",".join(header), ",".join(row)]) + "\n"
 
 
-def _dynamic_report(problem: PerturbationProblem, psi0: StateVector, t: float):
-    ks = [
-        k_operator_spectral(problem.spectral, h, t, parameter_index=mu)
-        for mu, h in enumerate(problem.perturbations)
-    ]
-    return qfim_dynamic(psi0, ks)
-
-
 def _run_dynamic(args) -> str:
     if args.time < 0:
         raise CliValidationError("--time must be non-negative")
     problem, name = _resolve_problem(args)
     psi0 = _resolve_probe(args, problem, name)
-    report = _dynamic_report(problem, psi0, args.time)
+    report = dynamic_report(problem, psi0, args.time)
 
     if args.output_format == "json":
         payload = {
@@ -277,6 +270,8 @@ def _entry_checks(
 
 
 def _run_oracle_check(args) -> str:
+    if args.time is not None and args.time < 0:
+        raise CliValidationError("--time must be non-negative")
     problem, name = _resolve_problem(args)
     lam = np.asarray(args.lambdas, dtype=float)
     if lam.size != problem.num_parameters:
@@ -298,7 +293,7 @@ def _run_oracle_check(args) -> str:
 
     if args.time is not None:
         psi0 = _resolve_probe(args, problem, name)
-        dyn = _dynamic_report(problem, psi0, args.time)
+        dyn = dynamic_report(problem, psi0, args.time)
         q_fd, d_fd = fd_qfim(exact_evolved_family(problem, psi0, args.time), lam, eps=args.eps)
         checks += _entry_checks("dynamic_Q", dyn.qfim.entries, q_fd.entries)
         checks += _entry_checks("dynamic_D", dyn.uhlmann.entries, d_fd.entries, antisymmetric=True)
@@ -325,13 +320,24 @@ def _run_oracle_check(args) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither nan nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_model_arguments(sub: argparse.ArgumentParser, default_format: str) -> None:
     sub.add_argument(
         "--model",
         required=True,
         help="preset (qubit, qubit2, qutrit, anharmonic) or path to a JSON Hamiltonian file",
     )
-    sub.add_argument("--alpha", type=float, default=None, help="mixing angle in radians")
+    sub.add_argument("--alpha", type=_finite_float, default=None, help="mixing angle in radians")
     sub.add_argument("--fock-dim", type=int, default=16, help="Fock truncation (anharmonic)")
     sub.add_argument(
         "--output-format", choices=("csv", "json"), default=default_format
@@ -340,8 +346,8 @@ def _add_model_arguments(sub: argparse.ArgumentParser, default_format: str) -> N
 
 
 def _add_probe_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--theta", type=float, default=0.0, help="qubit probe polar angle")
-    sub.add_argument("--phi", type=float, default=0.0, help="qubit probe azimuthal angle")
+    sub.add_argument("--theta", type=_finite_float, default=0.0, help="qubit probe polar angle")
+    sub.add_argument("--phi", type=_finite_float, default=0.0, help="qubit probe azimuthal angle")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -350,13 +356,15 @@ class _ArgumentParser(argparse.ArgumentParser):
     argparse only recognises ``-1`` and ``-0.5`` as negative numbers, so
     ``--lambda 0 -1e-3`` would take ``-1e-3`` for an unknown flag.  No
     option of this CLI looks like a number, so widening the pattern is
-    unambiguous.  Subparsers inherit the class.
+    unambiguous.  ``-inf`` and ``-nan`` count as numbers too, so that the
+    finiteness check, not a missing-argument error, reports them.
+    Subparsers inherit the class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
         )
 
 
@@ -373,13 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_dynamic = sub.add_parser("dynamic", help="evolved-probe report at one time")
     _add_model_arguments(p_dynamic, "json")
     _add_probe_arguments(p_dynamic)
-    p_dynamic.add_argument("--time", type=float, required=True, help="interaction time")
+    p_dynamic.add_argument("--time", type=_finite_float, required=True, help="interaction time")
 
     p_scan = sub.add_parser("scan", help="B(t), R(t) table over a time grid")
     _add_model_arguments(p_scan, "csv")
     _add_probe_arguments(p_scan)
-    p_scan.add_argument("--t-min", type=float, required=True)
-    p_scan.add_argument("--t-max", type=float, required=True)
+    p_scan.add_argument("--t-min", type=_finite_float, required=True)
+    p_scan.add_argument("--t-max", type=_finite_float, required=True)
     p_scan.add_argument("--t-steps", type=int, required=True)
 
     p_oracle = sub.add_parser("oracle-check", help="engine vs exact-diagonalization errors")
@@ -388,14 +396,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument(
         "--lambda",
         dest="lambdas",
-        type=float,
+        type=_finite_float,
         nargs="+",
         required=True,
         help="coupling values for the oracle evaluation point",
     )
-    p_oracle.add_argument("--eps", type=float, default=1e-4, help="finite-difference step")
+    p_oracle.add_argument("--eps", type=_finite_float, default=1e-4, help="finite-difference step")
     p_oracle.add_argument(
-        "--time", type=float, default=None, help="also cross-check the dynamic scheme at this time"
+        "--time",
+        type=_finite_float,
+        default=None,
+        help="also cross-check the dynamic scheme at this time",
     )
     return parser
 

@@ -2,8 +2,9 @@
 
 Hermitian matrices with validated construction, spectral decompositions
 with deterministic eigenvector phases, exact unitary evolution through the
-spectral form, expectation values, and composite Gauss-Legendre quadrature
-of matrix-valued integrands.  All values are immutable after construction
+spectral form, expectation values, the quantum geometric tensor of a set
+of tangent vectors, and composite Gauss-Legendre quadrature of
+matrix-valued integrands.  All values are immutable after construction
 and all operations are pure functions.
 """
 
@@ -31,6 +32,7 @@ __all__ = [
     "hermitian_eig",
     "evolve",
     "expectation",
+    "geometric_tensor",
     "integrate_operator",
 ]
 
@@ -239,6 +241,26 @@ def expectation(psi: StateVector, a) -> complex:
             f"operator dimension {m.shape[0]} does not match state dimension {psi.dim}"
         )
     return complex(np.vdot(psi.amplitudes, m @ psi.amplitudes))
+
+
+def geometric_tensor(psi: np.ndarray, tangents: np.ndarray) -> np.ndarray:
+    """Four times the projected Gram matrix of tangent vectors at ``psi``.
+
+    ``tangents`` has shape (..., P, d): P vectors of dimension d for each
+    leading index, e.g. one set per grid time.  The result has shape
+    (..., P, P) with entries 4 [<x_mu|x_nu> - <x_mu|psi><psi|x_nu>]; its
+    real part is the QFIM and its imaginary part the mean Uhlmann
+    curvature.  It is unchanged when every tangent gets the same phase.
+    """
+    x = np.asarray(tangents, dtype=complex)
+    if x.ndim < 2 or x.shape[-1] != psi.shape[-1]:
+        raise DimensionMismatchError(
+            f"tangents of shape {x.shape} do not match state dimension {psi.shape[-1]}"
+        )
+    conj = x.conj()
+    gram = conj @ np.swapaxes(x, -1, -2)
+    along = conj @ psi
+    return 4.0 * (gram - along[..., :, None] * along.conj()[..., None, :])
 
 
 def integrate_operator(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -21,7 +21,13 @@ from .errors import (
     ParallelCorrectionsError,
     ZeroCorrectionError,
 )
-from .operators import HermitianOperator, SpectralDecomposition, StateVector, hermitian_eig
+from .operators import (
+    HermitianOperator,
+    SpectralDecomposition,
+    StateVector,
+    geometric_tensor,
+    hermitian_eig,
+)
 
 __all__ = [
     "PerturbationProblem",
@@ -87,6 +93,12 @@ class PerturbationProblem:
     @cached_property
     def spectral(self) -> SpectralDecomposition:
         return hermitian_eig(self.h0)
+
+    def with_level(self, level: int) -> "PerturbationProblem":
+        """The same Hamiltonian with another reference level, sharing the solved spectrum."""
+        other = replace(self, level=level)
+        other.__dict__["spectral"] = self.spectral  # where cached_property stores it
+        return other
 
     def hamiltonian(self, lambdas) -> HermitianOperator:
         """Assemble h0 + sum_mu lambda_mu H_mu."""
@@ -223,11 +235,9 @@ def _directions(corrections) -> list[np.ndarray]:
 def overlaps(corrections) -> OverlapMatrix:
     """Overlap matrix of the normalized correction directions."""
     dirs = _directions(corrections)
-    p = len(dirs)
-    omega = np.empty((p, p), dtype=complex)
-    for i in range(p):
-        for j in range(p):
-            omega[i, j] = np.vdot(dirs[i], dirs[j])
+    # Directions are orthogonal to the reference state, so the projected
+    # Gram matrix is their plain Gram matrix up to rounding.
+    omega = 0.25 * geometric_tensor(corrections[0].reference.amplitudes, np.stack(dirs))
     omega = 0.5 * (omega + omega.conj().T)
     np.fill_diagonal(omega, 1.0)
     return OverlapMatrix(omega)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularQfimError, ZeroCorrectionError
-from .operators import HermitianOperator
+from .operators import HermitianOperator, geometric_tensor
 from .perturbation import AngleDecomposition, FirstOrderCorrection
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "bound_b",
     "quantumness_r",
     "sld_two_param_explicit",
+    "make_report",
     "static_report",
 ]
 
@@ -125,33 +126,28 @@ def sld_single(c: FirstOrderCorrection, lam: float = 0.0) -> HermitianOperator:
     return HermitianOperator(sld)
 
 
-def _correction_gram(corrections) -> np.ndarray:
+def _correction_tensor(corrections) -> np.ndarray:
+    if len(corrections) < 1:
+        raise ValueError("at least one correction is required")
     raws = [c.raw.amplitudes for c in corrections]
     dim = raws[0].size
     for v in raws:
         if v.size != dim:
             raise DimensionMismatchError("corrections live in different spaces")
-    p = len(raws)
-    gram = np.empty((p, p), dtype=complex)
-    for i in range(p):
-        for j in range(p):
-            gram[i, j] = np.vdot(raws[i], raws[j])
-    return gram
+    # The corrections are orthogonal to the reference state, so the
+    # projection term of the geometric tensor is at the rounding level.
+    return geometric_tensor(corrections[0].reference.amplitudes, np.stack(raws))
 
 
 def qfim_static(corrections) -> QfiMatrix:
     """Leading-order QFIM: 4 Re of the Gram matrix of the raw corrections."""
-    if len(corrections) < 1:
-        raise ValueError("at least one correction is required")
-    q = 4.0 * _correction_gram(corrections).real
+    q = _correction_tensor(corrections).real
     return QfiMatrix(0.5 * (q + q.T))
 
 
 def uhlmann_static(corrections) -> UhlmannMatrix:
     """Leading-order Uhlmann curvature: 4 Im of the raw-correction Gram matrix."""
-    if len(corrections) < 1:
-        raise ValueError("at least one correction is required")
-    d = 4.0 * _correction_gram(corrections).imag
+    d = _correction_tensor(corrections).imag
     return UhlmannMatrix(0.5 * (d - d.T))
 
 
@@ -257,16 +253,26 @@ def sld_two_param_explicit(
     return HermitianOperator(l1), HermitianOperator(l2)
 
 
-def static_report(corrections, include_slds: bool = False) -> EstimationReport:
-    """Bundle QFIM, Uhlmann curvature, B and R for a set of corrections."""
-    q = qfim_static(corrections)
-    d = uhlmann_static(corrections)
-    b = bound_b(q)
+def make_report(tensor: np.ndarray, slds=None) -> EstimationReport:
+    """QFIM, Uhlmann curvature, B and R from one P x P geometric tensor.
+
+    ``tensor`` is the output of :func:`~perturbsense.operators.geometric_tensor`
+    for one point: Q is its symmetrized real part and D its antisymmetrized
+    imaginary part.  A singular QFIM yields bound_b = +inf and
+    quantumness_r = None.
+    """
+    q, d = tensor.real, tensor.imag
+    qfim = QfiMatrix(0.5 * (q + q.T))
+    uhlmann = UhlmannMatrix(0.5 * (d - d.T))
+    b = bound_b(qfim)
     try:
-        r = quantumness_r(q, d)
+        r = quantumness_r(qfim, uhlmann)
     except SingularQfimError:
         r = None
-    slds = None
-    if include_slds:
-        slds = tuple(sld_single(c) for c in corrections)
-    return EstimationReport(qfim=q, uhlmann=d, bound_b=b, quantumness_r=r, slds=slds)
+    return EstimationReport(qfim=qfim, uhlmann=uhlmann, bound_b=b, quantumness_r=r, slds=slds)
+
+
+def static_report(corrections, include_slds: bool = False) -> EstimationReport:
+    """Bundle QFIM, Uhlmann curvature, B and R for a set of corrections."""
+    slds = tuple(sld_single(c) for c in corrections) if include_slds else None
+    return make_report(_correction_tensor(corrections), slds=slds)

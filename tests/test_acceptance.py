@@ -18,6 +18,7 @@ from perturbsense import (
     ParallelCorrectionsError,
     StateVector,
     bound_b,
+    dynamic_report,
     expectation,
     first_order_correction,
     k_operator_quadrature,
@@ -51,14 +52,6 @@ def criterion(label: str):
 
 def corrections_for(problem):
     return [first_order_correction(problem, mu) for mu in range(problem.num_parameters)]
-
-
-def dynamic_report(problem, probe, t):
-    ks = [
-        k_operator_spectral(problem.spectral, h, t, parameter_index=mu)
-        for mu, h in enumerate(problem.perturbations)
-    ]
-    return qfim_dynamic(probe, ks)
 
 
 def test_criterion_1_qubit_static():

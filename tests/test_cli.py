@@ -21,6 +21,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_flag_rejected(capsys, *argv):
+    """argparse refuses the value: exit 2 with a message, not an exception."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "must be a finite number" in err
+
+
 class TestStaticCommand:
     def test_qutrit_json(self, capsys):
         code, out, _ = run_cli(
@@ -102,6 +111,11 @@ class TestDynamicCommand:
             capsys, "dynamic", "--model", "qubit", "--time", "-1.0"
         )
         assert code == 2
+        for value in ("nan", "inf", "-inf"):
+            assert_flag_rejected(capsys, "dynamic", "--model", "qubit", "--time", value)
+        assert_flag_rejected(
+            capsys, "dynamic", "--model", "qubit", "--time", "1", "--phi", "nan"
+        )
 
 
 class TestScanCommand:
@@ -161,6 +175,12 @@ class TestScanCommand:
             "--t-min", "0.0", "--t-max", "1.0", "--t-steps", "1",
         )
         assert code == 2
+        for t_min, t_max in (("0", "inf"), ("nan", "1.0"), ("-inf", "1.0")):
+            assert_flag_rejected(
+                capsys,
+                "scan", "--model", "qubit",
+                "--t-min", t_min, "--t-max", t_max, "--t-steps", "3",
+            )
 
 
 class TestHamiltonianFile:
@@ -249,6 +269,21 @@ class TestOracleCheckCommand:
             "--lambda", "1e-3",
         )
         assert code == 2
+        for extra in (
+            ["--lambda", "nan"],
+            ["--lambda", "1e-3", "--eps", "nan"],
+            ["--lambda", "1e-3", "--theta", "nan", "--time", "1"],
+            ["--lambda", "1e-3", "--time", "inf"],
+        ):
+            assert_flag_rejected(capsys, "oracle-check", "--model", "qubit", *extra)
+        assert_flag_rejected(
+            capsys, "oracle-check", "--model", "qutrit", "--alpha", "nan",
+            "--lambda", "1e-3", "1e-3",
+        )
+        code, _, err = run_cli(
+            capsys, "oracle-check", "--model", "qubit", "--lambda", "1e-3", "--time", "-1"
+        )
+        assert code == 2 and "--time" in err
 
     def test_negative_exponent_lambda(self, capsys):
         code, out, err = run_cli(

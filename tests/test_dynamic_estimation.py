@@ -12,6 +12,7 @@ from perturbsense import (
     HermitianOperator,
     PerturbationProblem,
     StateVector,
+    dynamic_report,
     expectation,
     hermitian_eig,
     k_operator_quadrature,
@@ -60,8 +61,9 @@ class TestKOperatorSpectral:
         assert np.all(k.op.matrix == 0.0)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            k_operator_spectral(QUBIT1.spectral, QUBIT1.perturbations[0], -0.1)
+        for t in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                k_operator_spectral(QUBIT1.spectral, QUBIT1.perturbations[0], t)
 
     def test_cubic_vacuum_expectation_vanishes(self):
         for t in (0.5, 2.0, 5.5):
@@ -282,7 +284,108 @@ class TestScanTime:
             scan_time(QUBIT1, models.qubit_probe(0, 0), [])
         with pytest.raises(ValueError):
             scan_time(QUBIT1, models.qubit_probe(0, 0), [-0.5, 1.0])
+        for grid in ([0.1, math.nan], [0.0, math.inf]):
+            with pytest.raises(ValueError):
+                scan_time(QUBIT1, models.qubit_probe(0, 0), grid)
 
     def test_probe_dimension_checked(self):
         with pytest.raises(DimensionMismatchError):
             scan_time(ANHARMONIC, models.qubit_probe(0, 0), [0.1, 0.2])
+
+    def test_one_eigensolve_per_scan(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        fresh = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
+        scan = scan_time(fresh, VACUUM, np.linspace(0.1, 3.0, 8))
+        assert scan.static_reference is not None
+        assert len(calls) == 1
+
+
+def _per_time_reference(problem, probe, grid):
+    """Q and D through full K operators, one time at a time."""
+    qs, ds = [], []
+    for t in grid:
+        ks = [
+            k_operator_spectral(problem.spectral, h, t, parameter_index=mu)
+            for mu, h in enumerate(problem.perturbations)
+        ]
+        report = qfim_dynamic(probe, ks)
+        qs.append(report.qfim.entries)
+        ds.append(report.uhlmann.entries)
+    return np.array(qs), np.array(ds)
+
+
+def _random_gapped_model(seed):
+    """P = 1..4 couplings; H0 with an uncoupled degenerate pair and a coupled tiny gap.
+
+    Seeds 4..7 shift the spectrum by 1e5, far from its own spread.
+    """
+    rng = np.random.default_rng(2300 + seed)
+    dim = int(rng.integers(5, 11))
+    energies = rng.uniform(-3.0, 3.0, dim) + (1e5 if seed >= 4 else 0.0)
+    energies[1] = energies[0]
+    energies[3] = energies[2] + 10.0 ** rng.uniform(-10.0, -6.0)
+    if seed % 2:
+        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        basis = np.linalg.qr(z)[0]
+    else:
+        basis = np.eye(dim)
+    couplings = []
+    for _ in range(1 + seed % 4):
+        h = random_hermitian(rng, dim)
+        h[0, 1] = h[1, 0] = 0.0  # the degenerate pair stays uncoupled
+        couplings.append(HermitianOperator(basis @ h @ basis.conj().T))
+    h0 = (basis * energies[None, :]) @ basis.conj().T
+    problem = PerturbationProblem(
+        h0=HermitianOperator(0.5 * (h0 + h0.conj().T)),
+        perturbations=tuple(couplings),
+        level=4,
+    )
+    return problem, StateVector(random_state(rng, dim))
+
+
+class TestProbeSpaceEngine:
+    """scan_time and dynamic_report against full K operators at each time."""
+
+    RTOL = 1e-12  # relative to max|Q|, for Q and D alike
+
+    GRIDS = {
+        "tiny-times": np.concatenate([[0.0, 1e-9, 1e-6], np.linspace(0.1, 6.0, 10)]),
+        "regular": np.concatenate([[0.0], np.linspace(0.02, 6.0, 10)]),
+    }
+
+    @pytest.mark.parametrize("grid_name", sorted(GRIDS))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_scan_matches_per_time_reference(self, seed, grid_name):
+        problem, probe = _random_gapped_model(seed)
+        grid = self.GRIDS[grid_name]
+        scan = scan_time(problem, probe, grid)
+        q_ref, d_ref = _per_time_reference(problem, probe, grid)
+        q = np.array([r.qfim.entries for r in scan.reports])
+        d = np.array([r.uhlmann.entries for r in scan.reports])
+        scale = float(np.max(np.abs(q_ref)))
+        assert np.max(np.abs(q - q_ref)) <= self.RTOL * scale
+        assert np.max(np.abs(d - d_ref)) <= self.RTOL * scale
+        assert np.all(q[0] == 0.0) and math.isinf(scan.reports[0].bound_b)
+
+    def test_dynamic_report_matches_reference(self):
+        problem, probe = _random_gapped_model(3)
+        for t in (0.0, 1e-9, 1e-6, 0.7, 4.2):
+            report = dynamic_report(problem, probe, t)
+            q_ref, d_ref = _per_time_reference(problem, probe, [t])
+            scale = max(float(np.max(np.abs(q_ref))), 1e-300)
+            assert np.max(np.abs(report.qfim.entries - q_ref[0])) <= self.RTOL * scale
+            assert np.max(np.abs(report.uhlmann.entries - d_ref[0])) <= self.RTOL * scale
+
+    def test_dynamic_report_rejects_bad_times(self):
+        for t in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                dynamic_report(QUBIT1, models.qubit_probe(0, 0), t)
+        with pytest.raises(DimensionMismatchError):
+            dynamic_report(ANHARMONIC, models.qubit_probe(0, 0), 1.0)

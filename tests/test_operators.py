@@ -13,6 +13,7 @@ from perturbsense import (
     StateVector,
     evolve,
     expectation,
+    geometric_tensor,
     hermitian_eig,
     integrate_operator,
 )
@@ -156,6 +157,25 @@ class TestExpectation:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             expectation(StateVector([1.0, 0.0]), np.eye(3))
+
+
+class TestGeometricTensor:
+    def test_batched_projected_gram(self):
+        rng = np.random.default_rng(11)
+        psi = random_state(rng, 5)
+        tangents = rng.normal(size=(3, 2, 5)) + 1j * rng.normal(size=(3, 2, 5))
+        tensor = geometric_tensor(psi, tangents)
+        assert tensor.shape == (3, 2, 2)
+        projector = np.eye(5) - np.outer(psi, psi.conj())
+        for x, g in zip(tangents, tensor):
+            assert np.max(np.abs(g - 4.0 * x.conj() @ projector @ x.T)) <= 1e-12
+        # components along psi and a common phase leave it unchanged
+        shifted = 1j * (tangents + rng.normal(size=(3, 2, 1)) * psi)
+        assert np.max(np.abs(geometric_tensor(psi, shifted) - tensor)) <= 1e-12
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            geometric_tensor(np.ones(3) / np.sqrt(3), np.ones((2, 4)))
 
 
 class TestIntegrateOperator:

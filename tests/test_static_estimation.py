@@ -138,6 +138,15 @@ class TestQfimStatic:
         assert np.linalg.eigvalsh(q.entries)[0] >= -1e-10
         for mu, c in enumerate(cs):
             assert q.entries[mu, mu] == pytest.approx(4.0 * c.squared_norm, abs=1e-12)
+        # the pairwise loop that the batched geometric tensor replaced
+        raws = [c.raw.amplitudes for c in cs]
+        gram = np.array([[np.vdot(a, b) for b in raws] for a in raws])
+        rounding = 64 * np.finfo(float).eps * 4.0 * float(np.max(np.abs(gram)))
+        assert np.max(np.abs(q.entries - 4.0 * gram.real)) <= rounding
+        assert np.max(np.abs(uhlmann_static(cs).entries - 4.0 * gram.imag)) <= rounding
+        norms = np.sqrt(np.diag(gram).real)
+        omega = overlaps(cs).entries
+        assert np.max(np.abs(omega - gram / np.outer(norms, norms))) <= 64 * np.finfo(float).eps
 
 
 class TestUhlmannStatic:
