@@ -87,6 +87,8 @@ def load_hamiltonian_file(path: str) -> PerturbationProblem:
         raise CliValidationError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliValidationError(f"model file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CliValidationError(f"model file {path} must hold a JSON object")
     for field in ("dim", "h0", "perturbations"):
         if field not in payload:
             raise CliValidationError(f"model file {path} lacks required field '{field}'")
@@ -284,10 +286,7 @@ def _run_oracle_check(args) -> str:
         first_order_correction(problem, mu) for mu in range(problem.num_parameters)
     ]
     engine = static_report(corrections)
-    family = exact_eigenstate_family(
-        problem.h0, list(problem.perturbations), problem.level
-    )
-    q_fd, d_fd = fd_qfim(family, lam, eps=args.eps)
+    q_fd, d_fd = fd_qfim(exact_eigenstate_family(problem), lam, eps=args.eps)
     checks += _entry_checks("static_Q", engine.qfim.entries, q_fd.entries)
     checks += _entry_checks("static_D", engine.uhlmann.entries, d_fd.entries, antisymmetric=True)
 
@@ -328,6 +327,14 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float above zero."""
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
     return value
 
 
@@ -401,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="coupling values for the oracle evaluation point",
     )
-    p_oracle.add_argument("--eps", type=_finite_float, default=1e-4, help="finite-difference step")
+    p_oracle.add_argument("--eps", type=_positive_float, default=1e-4, help="finite-difference step")
     p_oracle.add_argument(
         "--time",
         type=_finite_float,

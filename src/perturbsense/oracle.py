@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FiniteDifferenceError, LevelTrackingError
-from .operators import HermitianOperator, StateVector, hermitian_eig
+from .operators import StateVector
 from .perturbation import PerturbationProblem
 from .static_estimation import QfiMatrix, UhlmannMatrix
 
@@ -33,26 +33,10 @@ FD_DISAGREEMENT_RTOL = 0.1
 FD_ABS_FLOOR = 1e-9
 
 
-def _assemble(h0: HermitianOperator, perturbations, lambdas: np.ndarray) -> np.ndarray:
-    perturbations = list(perturbations)
-    if len(lambdas) != len(perturbations):
-        raise ValueError(
-            f"got {len(lambdas)} couplings for {len(perturbations)} perturbations"
-        )
-    total = np.array(h0.matrix)
-    for value, h in zip(lambdas, perturbations):
-        total += value * h.matrix
-    return total
-
-
 def exact_eigenstate(
-    h0: HermitianOperator,
-    perturbations,
-    lambdas,
-    level: int,
-    path_steps: int = PATH_STEPS,
+    p: PerturbationProblem, lambdas, path_steps: int = PATH_STEPS
 ) -> StateVector:
-    """Exact eigenvector of h0 + sum lambda_mu H_mu at a tracked level.
+    """Exact eigenvector of ``p.hamiltonian(lambdas)`` at the tracked level ``p.level``.
 
     The level is identified by overlap continuity along a straight path
     from lambda = 0 (not by energy ordering, which may change at
@@ -60,12 +44,10 @@ def exact_eigenstate(
     unperturbed eigenvector.
     """
     lam = np.asarray(lambdas, dtype=float)
-    base = hermitian_eig(h0)
-    v0 = base.eigenvectors[:, level]
+    v0 = p.spectral.eigenvectors[:, p.level]
     v_prev = v0
     for step in range(1, path_steps + 1):
-        matrix = _assemble(h0, perturbations, lam * (step / path_steps))
-        _, vecs = np.linalg.eigh(matrix)
+        _, vecs = np.linalg.eigh(p.hamiltonian(lam * (step / path_steps)).matrix)
         projections = np.abs(vecs.conj().T @ v_prev)
         idx = int(np.argmax(projections))
         if projections[idx] ** 2 < 0.5:
@@ -80,13 +62,11 @@ def exact_eigenstate(
     return StateVector(v_prev * np.conj(overlap / abs(overlap)))
 
 
-def exact_eigenstate_family(
-    h0: HermitianOperator, perturbations, level: int
-) -> Callable[[np.ndarray], StateVector]:
+def exact_eigenstate_family(p: PerturbationProblem) -> Callable[[np.ndarray], StateVector]:
     """Map lambda -> exact tracked eigenstate, for the finite-difference routines."""
 
     def family(lambdas) -> StateVector:
-        return exact_eigenstate(h0, perturbations, lambdas, level)
+        return exact_eigenstate(p, lambdas)
 
     return family
 
@@ -195,9 +175,7 @@ def exact_evolved_family(
     amplitudes = psi0.amplitudes
 
     def family(lambdas) -> StateVector:
-        lam = np.asarray(lambdas, dtype=float)
-        matrix = _assemble(p.h0, p.perturbations, lam)
-        vals, vecs = np.linalg.eigh(matrix)
+        vals, vecs = np.linalg.eigh(p.hamiltonian(lambdas).matrix)
         coeffs = vecs.conj().T @ amplitudes
         return StateVector(vecs @ (np.exp(-1j * vals * t) * coeffs))
 

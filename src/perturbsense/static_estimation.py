@@ -10,7 +10,7 @@ part of the Gram matrix of the raw first-order corrections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,21 +39,32 @@ R_CLIP_SLACK = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class QfiMatrix:
-    """Real symmetric positive-semidefinite quantum Fisher information matrix."""
+    """Real symmetric positive-semidefinite quantum Fisher information matrix.
+
+    ``spectrum`` holds the ascending eigenvalues computed by the
+    positive-semidefiniteness check; B and R are read from it.
+    """
 
     entries: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"QFIM must be square, got shape {m.shape}")
-        if np.max(np.abs(m - m.T)) > 1e-10:
+        asymmetry = float(np.max(np.abs(m - m.T)))
+        if asymmetry > 1e-10:
             raise ValueError("QFIM must be symmetric")
+        if math.isnan(asymmetry):  # a non-finite entry makes it nan or inf
+            raise ValueError("QFIM entries must be finite")
         floor = -1e-10 * max(1.0, float(np.max(np.abs(m))))
-        if np.linalg.eigvalsh(m)[0] < floor:
+        eig = np.linalg.eigvalsh(m)
+        if eig[0] < floor:
             raise ValueError("QFIM must be positive semidefinite")
         m.setflags(write=False)
+        eig.setflags(write=False)
         object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "spectrum", eig)
 
     @property
     def num_parameters(self) -> int:
@@ -151,22 +162,17 @@ def uhlmann_static(corrections) -> UhlmannMatrix:
     return UhlmannMatrix(0.5 * (d - d.T))
 
 
-def _spectrum(q: QfiMatrix) -> np.ndarray:
-    return np.linalg.eigvalsh(q.entries)
-
-
 def _numerical_rank(eigenvalues: np.ndarray) -> int:
     top = float(eigenvalues[-1])
     if top <= 0.0:
         return 0
-    return int(np.sum(eigenvalues > SINGULARITY_RTOL * top))
+    return int(np.count_nonzero(eigenvalues > SINGULARITY_RTOL * top))
 
 
 def bound_b(q: QfiMatrix) -> float:
     """Total-variance bound Tr[Q^-1]; +inf when Q is numerically singular."""
-    eig = _spectrum(q)
-    top = float(eig[-1])
-    if top <= 0.0 or float(eig[0]) <= SINGULARITY_RTOL * top:
+    eig = q.spectrum
+    if _numerical_rank(eig) < q.num_parameters:
         return math.inf
     return float(np.sum(1.0 / eig))
 
@@ -181,12 +187,11 @@ def quantumness_r(q: QfiMatrix, d: UhlmannMatrix) -> float:
     """
     if d.num_parameters != q.num_parameters:
         raise DimensionMismatchError("QFIM and Uhlmann matrix sizes differ")
-    eig = _spectrum(q)
-    top = float(eig[-1])
-    if top <= 0.0 or float(eig[0]) <= SINGULARITY_RTOL * top:
+    eig = q.spectrum
+    rank = _numerical_rank(eig)
+    if rank < q.num_parameters:
         raise SingularQfimError(
-            "QFIM is singular; parameters are not jointly identifiable",
-            rank=_numerical_rank(eig),
+            "QFIM is singular; parameters are not jointly identifiable", rank=rank
         )
     if q.num_parameters == 2:
         det_q = float(np.prod(eig))

@@ -60,9 +60,7 @@ def test_criterion_1_qubit_static():
         q = qfi_single(first_order_correction(problem, 0))
         assert abs(q - 1.0) <= 1e-15
 
-        family = oracle.exact_eigenstate_family(
-            problem.h0, list(problem.perturbations), problem.level
-        )
+        family = oracle.exact_eigenstate_family(problem)
         q_oracle = oracle.fidelity_qfi(lambda l: family(np.array([l])), 1e-3, 1e-4)
         assert abs(q_oracle - 1.0) <= 0.01
 
@@ -295,9 +293,7 @@ def test_criterion_10_oracle_equivalence():
 
             for scheme, q_engine, d_engine in engine_pairs:
                 if scheme == "static":
-                    family = oracle.exact_eigenstate_family(
-                        problem.h0, list(problem.perturbations), problem.level
-                    )
+                    family = oracle.exact_eigenstate_family(problem)
                 else:
                     family = oracle.exact_evolved_family(problem, probe, 1.3)
                 q_hi, d_hi = oracle.fd_qfim(family, lam)
@@ -317,9 +313,7 @@ def test_criterion_10_oracle_equivalence():
 
         # gauge robustness
         problem = models.build(ModelSpec(ModelKind.QUTRIT_2PARAM, alpha=1.0))
-        family = oracle.exact_eigenstate_family(
-            problem.h0, list(problem.perturbations), problem.level
-        )
+        family = oracle.exact_eigenstate_family(problem)
 
         def gauged(lam_vec):
             phase = np.exp(

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,13 +23,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def assert_flag_rejected(capsys, *argv):
+def assert_flag_rejected(capsys, *argv, message="must be a finite number"):
     """argparse refuses the value: exit 2 with a message, not an exception."""
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     err = capsys.readouterr().err
     assert exc.value.code == 2
-    assert "must be a finite number" in err
+    assert message in err
 
 
 class TestStaticCommand:
@@ -208,9 +210,10 @@ class TestHamiltonianFile:
 
     def test_malformed_file_is_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code, _, err = run_cli(capsys, "static", "--model", str(bad))
-        assert code == 2
+        for text in ("{not json", "5", "null", "true", "[]"):
+            bad.write_text(text)
+            code, _, err = run_cli(capsys, "static", "--model", str(bad))
+            assert code == 2, text
 
     def test_non_hermitian_file_rejected(self, capsys, tmp_path):
         pairs = lambda m: [[[z.real, z.imag] for z in row] for row in np.asarray(m, complex)]
@@ -284,6 +287,11 @@ class TestOracleCheckCommand:
             capsys, "oracle-check", "--model", "qubit", "--lambda", "1e-3", "--time", "-1"
         )
         assert code == 2 and "--time" in err
+        for eps in ("0", "-1e-4"):
+            assert_flag_rejected(
+                capsys, "oracle-check", "--model", "qubit", "--lambda", "1e-3",
+                "--eps", eps, message="must be a positive number",
+            )
 
     def test_negative_exponent_lambda(self, capsys):
         code, out, err = run_cli(
@@ -303,6 +311,51 @@ class TestOracleCheckCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "check,engine,oracle,rel_error"
         assert any(line.startswith("static_Q11,") for line in lines)
+
+    @pytest.mark.parametrize("extra, expected", [([], 37), (["--time", "1.3"], 46)])
+    def test_eigensolve_count(self, capsys, monkeypatch, extra, expected):
+        # one H0 solve for the engine and the oracle together; each of the 9
+        # eigenstate samples takes PATH_STEPS path solves, and each of the 9
+        # evolved samples one solve
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        code, _, err = run_cli(
+            capsys,
+            "oracle-check", "--model", "anharmonic", "--lambda", "1e-3", "-1e-3", *extra,
+        )
+        assert code == 0, err
+        assert len(calls) == expected
+
+
+def readme_cli_commands():
+    """The ``perturbsense`` lines of the sh block under the README's CLI heading."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line)[1:]
+        for line in block.splitlines()
+        if line.startswith("perturbsense ")
+    ]
+
+
+class TestReadmeExamples:
+    def test_examples_present(self):
+        assert {argv[0] for argv in readme_cli_commands()} == {
+            "static", "dynamic", "scan", "oracle-check"
+        }
+
+    @pytest.mark.parametrize("argv", readme_cli_commands(), ids=lambda argv: argv[0])
+    def test_example_runs(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out
 
 
 class TestEntryPoint:

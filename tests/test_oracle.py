@@ -11,6 +11,7 @@ from perturbsense import (
     FiniteDifferenceError,
     HermitianOperator,
     LevelTrackingError,
+    PerturbationProblem,
     StateVector,
     first_order_correction,
     k_operator_spectral,
@@ -45,12 +46,12 @@ def preset_probe(name, problem):
 
 class TestExactEigenstate:
     def test_lambda_zero_returns_unperturbed(self):
-        state = oracle.exact_eigenstate(QUBIT1.h0, list(QUBIT1.perturbations), [0.0], 1)
+        state = oracle.exact_eigenstate(QUBIT1, [0.0])
         assert np.allclose(state.amplitudes, [1.0, 0.0])
 
     def test_qubit_small_coupling(self):
         lam = 0.01
-        state = oracle.exact_eigenstate(QUBIT1.h0, list(QUBIT1.perturbations), [lam], 1)
+        state = oracle.exact_eigenstate(QUBIT1, [lam])
         approx = np.array([1.0, lam / 2.0])
         approx /= np.linalg.norm(approx)
         error = np.linalg.norm(phase_align(state.amplitudes, approx) - approx)
@@ -61,15 +62,13 @@ class TestExactEigenstate:
 
         problem = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
         lam = np.array([1e-3, 1e-3])
-        exact = oracle.exact_eigenstate(
-            problem.h0, list(problem.perturbations), lam, 0
-        ).amplitudes
+        exact = oracle.exact_eigenstate(problem, lam).amplitudes
         approx = perturbed_state(problem, lam).amplitudes
         error = np.linalg.norm(phase_align(exact, approx) - approx)
         assert error <= 10.0 * float(np.dot(lam, lam))
 
     def test_positive_overlap_phase(self):
-        state = oracle.exact_eigenstate(QUBIT1.h0, list(QUBIT1.perturbations), [0.02], 1)
+        state = oracle.exact_eigenstate(QUBIT1, [0.02])
         assert state.amplitudes[0].real > 0
         assert abs(state.amplitudes[0].imag) <= 1e-14
 
@@ -79,7 +78,8 @@ class TestExactEigenstate:
         # energy ordering would return the wrong vector
         h0 = HermitianOperator(np.diag([0.0, 1.0]).astype(complex))
         ramp = HermitianOperator(np.diag([1.0, 0.0]).astype(complex))
-        state = oracle.exact_eigenstate(h0, [ramp], [1.5], 0)
+        problem = PerturbationProblem(h0=h0, perturbations=(ramp,), level=0)
+        state = oracle.exact_eigenstate(problem, [1.5])
         assert np.allclose(state.amplitudes, [1.0, 0.0], atol=1e-12)
 
     def test_ambiguous_tracking_raises(self):
@@ -90,17 +90,16 @@ class TestExactEigenstate:
         ) / np.sqrt(3.0)
         scrambler = fourier @ np.diag([1.0, 2.0, 3.0]) @ fourier.conj().T
         h0 = HermitianOperator(np.diag([0.0, 1e-13, 2e-13]).astype(complex))
+        problem = PerturbationProblem(
+            h0=h0, perturbations=(HermitianOperator(scrambler),), level=0
+        )
         with pytest.raises(LevelTrackingError):
-            oracle.exact_eigenstate(
-                h0, [HermitianOperator(scrambler)], [100.0], 0, path_steps=1
-            )
+            oracle.exact_eigenstate(problem, [100.0], path_steps=1)
 
 
 class TestFidelityQfi:
     def test_qubit_static(self):
-        family = oracle.exact_eigenstate_family(
-            QUBIT1.h0, list(QUBIT1.perturbations), 1
-        )
+        family = oracle.exact_eigenstate_family(QUBIT1)
         q = oracle.fidelity_qfi(lambda l: family(np.array([l])), 1e-3, 1e-4)
         assert q == pytest.approx(1.0, rel=0.01)
 
@@ -110,24 +109,18 @@ class TestFidelityQfi:
 
     def test_anharmonic_cubic(self):
         problem = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
-        family = oracle.exact_eigenstate_family(
-            problem.h0, list(problem.perturbations), 0
-        )
+        family = oracle.exact_eigenstate_family(problem)
         q = oracle.fidelity_qfi(lambda l: family(np.array([l, 0.0])), 1e-3, 1e-4)
         assert q == pytest.approx(29.0 / 6.0, rel=0.01)
 
     def test_step_halving_consistency(self):
-        family = oracle.exact_eigenstate_family(
-            QUBIT1.h0, list(QUBIT1.perturbations), 1
-        )
+        family = oracle.exact_eigenstate_family(QUBIT1)
         q_coarse = oracle.fidelity_qfi(lambda l: family(np.array([l])), 1e-3, 1e-4)
         q_fine = oracle.fidelity_qfi(lambda l: family(np.array([l])), 1e-3, 5e-5)
         assert abs(q_coarse - q_fine) <= 1e-3 * abs(q_fine)
 
     def test_richardson_available(self):
-        family = oracle.exact_eigenstate_family(
-            QUBIT1.h0, list(QUBIT1.perturbations), 1
-        )
+        family = oracle.exact_eigenstate_family(QUBIT1)
         q = oracle.fidelity_qfi(lambda l: family(np.array([l])), 1e-3, 1e-4, richardson=True)
         assert q == pytest.approx(1.0, rel=0.01)
 
@@ -142,9 +135,7 @@ class TestFidelityQfi:
 class TestFdQfim:
     def test_qutrit_identity_block(self):
         problem = models.build(ModelSpec(ModelKind.QUTRIT_2PARAM, alpha=np.pi / 2))
-        family = oracle.exact_eigenstate_family(
-            problem.h0, list(problem.perturbations), 1
-        )
+        family = oracle.exact_eigenstate_family(problem)
         q, d = oracle.fd_qfim(family, np.array([1e-3, 1e-3]))
         assert np.max(np.abs(q.entries - 4.0 * np.eye(2))) <= 0.01 * 4.0
         assert np.max(np.abs(d.entries)) <= 1e-6
@@ -162,9 +153,7 @@ class TestFdQfim:
     def test_flat_direction_gives_zero_row_and_singular_bound(self):
         from perturbsense import SingularQfimError, bound_b, quantumness_r
 
-        state_family = oracle.exact_eigenstate_family(
-            QUBIT1.h0, list(QUBIT1.perturbations), 1
-        )
+        state_family = oracle.exact_eigenstate_family(QUBIT1)
 
         def padded(lam):
             return state_family(np.array([lam[0]]))  # ignores lam[1]
@@ -178,9 +167,7 @@ class TestFdQfim:
 
     def test_gauge_robustness(self):
         problem = models.build(ModelSpec(ModelKind.QUTRIT_2PARAM, alpha=1.0))
-        family = oracle.exact_eigenstate_family(
-            problem.h0, list(problem.perturbations), 1
-        )
+        family = oracle.exact_eigenstate_family(problem)
 
         def gauged(lam):
             phase = np.exp(1j * (3.0 * lam[0] - 2.0 * lam[1] + 5.0 * lam[0] * lam[1]))
@@ -195,9 +182,7 @@ class TestFdQfim:
     def test_noisy_family_trips_consistency_check(self):
         # quantizing the amplitudes injects noise that central differences
         # amplify; the eps vs eps/2 cross-check must catch it
-        family = oracle.exact_eigenstate_family(
-            QUBIT1.h0, list(QUBIT1.perturbations), 1
-        )
+        family = oracle.exact_eigenstate_family(QUBIT1)
 
         def noisy(lam):
             amplitudes = np.round(family(lam).amplitudes * 1e6) / 1e6
@@ -211,9 +196,7 @@ class TestFdQfim:
         # spec property: oracle vs leading-order engine within max(1%, 50 |lambda|)
         name, problem = name_problem
         lam = np.full(problem.num_parameters, 1e-3)
-        family = oracle.exact_eigenstate_family(
-            problem.h0, list(problem.perturbations), problem.level
-        )
+        family = oracle.exact_eigenstate_family(problem)
         q_fd, d_fd = oracle.fd_qfim(family, lam)
         cs = [first_order_correction(problem, mu) for mu in range(problem.num_parameters)]
         q_engine = qfim_static(cs).entries
@@ -265,9 +248,14 @@ class TestExactEvolvedFamily:
 class TestCouplingArity:
     def test_eigenstate_rejects_wrong_length(self):
         with pytest.raises(ValueError):
-            oracle.exact_eigenstate(
-                QUBIT1.h0, list(QUBIT1.perturbations), [1e-3, 1e-3], 1
-            )
+            oracle.exact_eigenstate(QUBIT1, [1e-3, 1e-3])
+
+    @pytest.mark.parametrize("level", [-1, 2])
+    def test_level_outside_spectrum_rejected(self, level):
+        # the problem checks the level before any oracle call can index
+        # the spectrum with it
+        with pytest.raises(ValueError):
+            PerturbationProblem(h0=QUBIT1.h0, perturbations=QUBIT1.perturbations, level=level)
 
     def test_evolved_family_rejects_wrong_length(self):
         family = oracle.exact_evolved_family(QUBIT1, models.qubit_probe(0, 0), 1.0)

@@ -266,8 +266,6 @@ class TestPerturbedState:
         direction = rng.normal(size=2)
         lam = 1e-3 * direction / np.linalg.norm(direction)
         approx = perturbed_state(problem, lam).amplitudes
-        exact = oracle.exact_eigenstate(
-            problem.h0, list(problem.perturbations), lam, problem.level
-        ).amplitudes
+        exact = oracle.exact_eigenstate(problem, lam).amplitudes
         error = np.linalg.norm(phase_align(exact, approx) - approx)
         assert error <= 10.0 * float(np.dot(lam, lam))

@@ -261,7 +261,44 @@ class TestQuantumnessR:
         assert quantumness_r(qfim_static(cs), uhlmann_static(cs)) <= 1e-9
 
 
+class TestQfiMatrix:
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[1.0, 0.5], [0.4, 1.0]],
+            [[1.0, 2.0], [2.0, 1.0]],
+            [[1.0, math.nan], [math.nan, 1.0]],
+            [[math.inf, 0.0], [0.0, 1.0]],
+        ],
+        ids=["asymmetric", "indefinite", "nan", "inf"],
+    )
+    def test_rejects_invalid_entries(self, entries):
+        with pytest.raises(ValueError):
+            QfiMatrix(np.array(entries))
+
+    def test_spectrum_is_ascending_and_read_only(self):
+        q = QfiMatrix(np.array([[3.0, 1.0], [1.0, 3.0]]))
+        assert q.spectrum.tolist() == pytest.approx([2.0, 4.0])
+        with pytest.raises(ValueError):
+            q.spectrum[0] = 0.0
+
+
 class TestStaticReport:
+    def test_one_spectrum_per_report(self, monkeypatch):
+        cs = corrections_for(ANHARMONIC)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        report = static_report(cs)
+        assert calls == [(2, 2)]
+        assert report.bound_b == pytest.approx(466.0 / 1131.0, abs=1e-9)
+        assert report.quantumness_r is not None
+
     def test_bundles_fields(self):
         problem = models.build(ModelSpec(ModelKind.QUTRIT_2PARAM, alpha=np.pi / 2))
         report = static_report(corrections_for(problem), include_slds=True)
