@@ -1,7 +1,7 @@
 """Independent ground truth by exact diagonalization and finite differences.
 
 Nothing in this module uses perturbation theory: eigenstates come from
-dense diagonalization with continuity-tracked levels, evolved states from
+dense diagonalization with overlap-tracked levels, evolved states from
 the exact propagator, and Fisher information from fidelity quotients or
 central-difference derivative vectors with an explicit gauge term.  The
 estimation engine is validated against these routines.
@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FiniteDifferenceError, LevelTrackingError
+from .errors import DimensionMismatchError, FiniteDifferenceError, LevelTrackingError
 from .operators import StateVector
 from .perturbation import PerturbationProblem
 from .static_estimation import QfiMatrix, UhlmannMatrix
@@ -29,6 +29,9 @@ __all__ = [
 
 DEFAULT_FD_STEP = 1e-4
 PATH_STEPS = 4
+# A direct solve whose best eigenvector holds this share of v0 leaves at
+# most the rest to any other eigenvector, so the level is unambiguous.
+DIRECT_OVERLAP_MIN = 0.9
 FD_DISAGREEMENT_RTOL = 0.1
 FD_ABS_FLOOR = 1e-9
 
@@ -38,24 +41,39 @@ def exact_eigenstate(
 ) -> StateVector:
     """Exact eigenvector of ``p.hamiltonian(lambdas)`` at the tracked level ``p.level``.
 
-    The level is identified by overlap continuity along a straight path
-    from lambda = 0 (not by energy ordering, which may change at
-    crossings), and the phase is fixed by a positive overlap with the
-    unperturbed eigenvector.
+    The level is identified by overlap with the unperturbed eigenvector,
+    not by energy ordering, which may change at crossings.  One solve at
+    lambda is accepted when some eigenvector holds at least
+    ``DIRECT_OVERLAP_MIN`` of it, since then no other can hold more than
+    ``1 - DIRECT_OVERLAP_MIN``.  Otherwise the level is tracked by overlap
+    continuity along a straight path of ``path_steps`` solves from
+    lambda = 0, the last of which is that same solve.  The phase is fixed
+    by a positive overlap with the unperturbed eigenvector.
     """
+    if path_steps < 1:
+        raise ValueError(f"path_steps must be at least 1, got {path_steps}")
     lam = np.asarray(lambdas, dtype=float)
     v0 = p.spectral.eigenvectors[:, p.level]
-    v_prev = v0
-    for step in range(1, path_steps + 1):
-        _, vecs = np.linalg.eigh(p.hamiltonian(lam * (step / path_steps)).matrix)
-        projections = np.abs(vecs.conj().T @ v_prev)
-        idx = int(np.argmax(projections))
-        if projections[idx] ** 2 < 0.5:
-            raise LevelTrackingError(
-                f"eigenlevel continuity lost at path step {step}/{path_steps} "
-                f"(best overlap {projections[idx]:.3f}); increase path_steps"
-            )
-        v_prev = vecs[:, idx]
+    _, end = np.linalg.eigh(p.hamiltonian(lam).matrix)
+    projections = np.abs(end.conj().T @ v0)
+    idx = int(np.argmax(projections))
+    if projections[idx] ** 2 >= DIRECT_OVERLAP_MIN:
+        v_prev = end[:, idx]
+    else:
+        v_prev = v0
+        for step in range(1, path_steps + 1):
+            if step == path_steps:
+                vecs = end
+            else:
+                _, vecs = np.linalg.eigh(p.hamiltonian(lam * (step / path_steps)).matrix)
+            projections = np.abs(vecs.conj().T @ v_prev)
+            idx = int(np.argmax(projections))
+            if projections[idx] ** 2 < 0.5:
+                raise LevelTrackingError(
+                    f"eigenlevel continuity lost at path step {step}/{path_steps} "
+                    f"(best overlap {projections[idx]:.3f}); increase path_steps"
+                )
+            v_prev = vecs[:, idx]
     overlap = complex(np.vdot(v0, v_prev))
     if abs(overlap) < 1e-12:
         raise LevelTrackingError("tracked eigenvector is orthogonal to the start")
@@ -84,8 +102,8 @@ def fidelity_qfi(
     fixes the prefactor.  With ``richardson`` the eps and eps/2 quotients
     are extrapolated (the truncation error is quadratic in the step).
     """
-    if eps <= 0.0:
-        raise ValueError("finite-difference step must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"finite-difference step must be positive and finite, got {eps}")
 
     def quotient(step: float) -> float:
         lo = family(lam - step / 2.0).amplitudes
@@ -145,8 +163,8 @@ def fd_qfim(
     eps/2 estimates must agree within 10%, which catches steps small
     enough for catastrophic cancellation; the finer estimate is returned.
     """
-    if eps <= 0.0:
-        raise ValueError("finite-difference step must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"finite-difference step must be positive and finite, got {eps}")
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 1:
         raise ValueError("lambda must be a 1-d coupling vector")
@@ -172,6 +190,12 @@ def exact_evolved_family(
     p: PerturbationProblem, psi0: StateVector, t: float
 ) -> Callable[[np.ndarray], StateVector]:
     """Map lambda -> exp(-i H(lambda) t)|psi0> by exact diagonalization."""
+    if psi0.dim != p.dim:
+        raise DimensionMismatchError(
+            f"probe dimension {psi0.dim} does not match problem dimension {p.dim}"
+        )
+    if not math.isfinite(t):
+        raise ValueError(f"interaction time must be finite, got {t}")
     amplitudes = psi0.amplitudes
 
     def family(lambdas) -> StateVector:

@@ -81,8 +81,11 @@ class UhlmannMatrix:
         m = np.asarray(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"Uhlmann matrix must be square, got shape {m.shape}")
-        if np.max(np.abs(m + m.T)) > 1e-10:
+        antisymmetry = float(np.max(np.abs(m + m.T)))
+        if antisymmetry > 1e-10:
             raise ValueError("Uhlmann matrix must be antisymmetric")
+        if math.isnan(antisymmetry):  # a non-finite entry makes it nan or inf
+            raise ValueError("Uhlmann matrix entries must be finite")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 

@@ -24,6 +24,19 @@ def phase_align(v: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return v * np.conj(z / abs(z))
 
 
+def count_eigh(monkeypatch) -> list:
+    """Record the shape of every ``np.linalg.eigh`` call from now on."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
 def x_power_element(m: int, n: int, power: int) -> float:
     """<m| x^power |n> by expanding (a + a^dag)^power over operator strings.
 

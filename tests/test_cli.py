@@ -14,6 +14,8 @@ import pytest
 
 from perturbsense.cli import main
 
+from helpers import count_eigh
+
 B_STATIC_ANHARMONIC = 466.0 / 1131.0
 
 
@@ -312,19 +314,13 @@ class TestOracleCheckCommand:
         assert lines[0] == "check,engine,oracle,rel_error"
         assert any(line.startswith("static_Q11,") for line in lines)
 
-    @pytest.mark.parametrize("extra, expected", [([], 37), (["--time", "1.3"], 46)])
+    @pytest.mark.parametrize("extra, expected", [([], 10), (["--time", "1.3"], 19)])
     def test_eigensolve_count(self, capsys, monkeypatch, extra, expected):
         # one H0 solve for the engine and the oracle together; each of the 9
-        # eigenstate samples takes PATH_STEPS path solves, and each of the 9
-        # evolved samples one solve
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting_eigh(*args, **kwargs):
-            calls.append(args[0].shape)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        # eigenstate samples is one direct solve at its lambda (the path walk
+        # is not needed at these weak couplings), and each of the 9 evolved
+        # samples one solve
+        calls = count_eigh(monkeypatch)
         code, _, err = run_cli(
             capsys,
             "oracle-check", "--model", "anharmonic", "--lambda", "1e-3", "-1e-3", *extra,

@@ -24,7 +24,7 @@ from perturbsense import (
 from perturbsense import models, oracle
 from perturbsense.models import ModelKind, ModelSpec
 
-from helpers import random_hermitian, random_state
+from helpers import count_eigh, random_hermitian, random_state
 
 QUBIT1 = models.build(ModelSpec(ModelKind.QUBIT_1PARAM))
 ANHARMONIC = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
@@ -293,14 +293,7 @@ class TestScanTime:
             scan_time(ANHARMONIC, models.qubit_probe(0, 0), [0.1, 0.2])
 
     def test_one_eigensolve_per_scan(self, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting_eigh(*args, **kwargs):
-            calls.append(args[0].shape)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        calls = count_eigh(monkeypatch)
         fresh = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
         scan = scan_time(fresh, VACUUM, np.linspace(0.1, 3.0, 8))
         assert scan.static_reference is not None

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from perturbsense import (
+    DimensionMismatchError,
     FiniteDifferenceError,
     HermitianOperator,
     LevelTrackingError,
@@ -22,7 +23,7 @@ from perturbsense import (
 from perturbsense import models, oracle
 from perturbsense.models import ModelKind, ModelSpec
 
-from helpers import phase_align
+from helpers import count_eigh, phase_align, random_hermitian
 
 QUBIT1 = models.build(ModelSpec(ModelKind.QUBIT_1PARAM))
 
@@ -34,6 +35,17 @@ def preset_problems():
         ("qutrit", models.build(ModelSpec(ModelKind.QUTRIT_2PARAM, alpha=np.pi / 2))),
         ("anharmonic", models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))),
     ]
+
+
+def weak_random_problem(seed):
+    """A random two-coupling model whose spectrum has gaps of order one."""
+    rng = np.random.default_rng(700 + seed)
+    dim = 6
+    return PerturbationProblem(
+        h0=HermitianOperator(np.diag(np.arange(dim, dtype=float) * 1.5).astype(complex)),
+        perturbations=tuple(HermitianOperator(random_hermitian(rng, dim)) for _ in range(2)),
+        level=int(rng.integers(0, dim)),
+    )
 
 
 def preset_probe(name, problem):
@@ -95,6 +107,61 @@ class TestExactEigenstate:
         )
         with pytest.raises(LevelTrackingError):
             oracle.exact_eigenstate(problem, [100.0], path_steps=1)
+
+    @pytest.mark.parametrize("path_steps", [0, -1])
+    def test_path_steps_below_one_rejected(self, path_steps):
+        # zero steps used to return the unperturbed vector unchanged
+        with pytest.raises(ValueError, match="path_steps"):
+            oracle.exact_eigenstate(QUBIT1, [0.3], path_steps=path_steps)
+
+
+class TestDirectStep:
+    def test_weak_sample_takes_one_solve(self, monkeypatch):
+        QUBIT1.spectral  # the cached H0 solve is not the sample's
+        calls = count_eigh(monkeypatch)
+        oracle.exact_eigenstate(QUBIT1, [1e-3])
+        assert len(calls) == 1
+
+    def test_avoided_crossing_falls_back_to_walk(self, monkeypatch):
+        # at lambda = 0.5 the tracked level keeps only 0.854 of v0, below
+        # the direct step's 0.9, so the walk resolves it
+        h0 = HermitianOperator(np.diag([0.0, 1.0]).astype(complex))
+        sigma_x = HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        problem = PerturbationProblem(h0=h0, perturbations=(sigma_x,), level=0)
+        problem.spectral
+        calls = count_eigh(monkeypatch)
+        state = oracle.exact_eigenstate(problem, [0.5])
+        assert len(calls) == oracle.PATH_STEPS
+        assert abs(state.amplitudes[0]) ** 2 == pytest.approx(
+            0.5 + 0.5 / math.sqrt(2.0), abs=1e-12
+        )
+        _, vecs = np.linalg.eigh(problem.hamiltonian([0.5]).matrix)
+        assert np.allclose(phase_align(vecs[:, 0], state.amplitudes), state.amplitudes, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "name_problem",
+        preset_problems() + [(f"random{seed}", weak_random_problem(seed)) for seed in range(4)],
+        ids=lambda np_: np_[0],
+    )
+    def test_direct_step_matches_walk(self, monkeypatch, name_problem):
+        # an accepted direct solve is the walk's last solve, so the two
+        # return the same bits
+        _, problem = name_problem
+        problem.spectral
+        rng = np.random.default_rng(11)
+        for lam in (
+            np.full(problem.num_parameters, 1e-3),
+            np.full(problem.num_parameters, -1e-3),
+            1e-3 * rng.normal(size=problem.num_parameters),
+        ):
+            with monkeypatch.context() as m:
+                calls = count_eigh(m)
+                direct = oracle.exact_eigenstate(problem, lam).amplitudes
+                assert len(calls) == 1
+                m.setattr(oracle, "DIRECT_OVERLAP_MIN", 1.5)
+                walked = oracle.exact_eigenstate(problem, lam).amplitudes
+                assert len(calls) == 1 + oracle.PATH_STEPS
+            assert np.array_equal(direct, walked)
 
 
 class TestFidelityQfi:
@@ -231,6 +298,20 @@ class TestFdQfim:
                 assert np.max(rel) <= tolerance
 
 
+class TestBadStep:
+    @pytest.mark.parametrize("eps", [0.0, -1e-4, math.nan, math.inf])
+    def test_fd_qfim_rejects(self, eps):
+        family = oracle.exact_eigenstate_family(QUBIT1)
+        with pytest.raises(ValueError, match="finite-difference step"):
+            oracle.fd_qfim(family, np.array([1e-3]), eps=eps)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-4, math.nan, math.inf])
+    def test_fidelity_qfi_rejects(self, eps):
+        family = oracle.exact_eigenstate_family(QUBIT1)
+        with pytest.raises(ValueError, match="finite-difference step"):
+            oracle.fidelity_qfi(lambda l: family(np.array([l])), 1e-3, eps)
+
+
 class TestExactEvolvedFamily:
     def test_lambda_zero_is_free_evolution(self):
         probe = models.qubit_probe(0.8, 0.2)
@@ -243,6 +324,15 @@ class TestExactEvolvedFamily:
         family = oracle.exact_evolved_family(QUBIT1, probe, 0.0)
         for lam in ([0.0], [0.3], [-0.2]):
             assert np.max(np.abs(family(np.array(lam)).amplitudes - probe.amplitudes)) <= 1e-12
+
+    def test_wrong_probe_dimension_rejected_at_construction(self):
+        with pytest.raises(DimensionMismatchError):
+            oracle.exact_evolved_family(QUBIT1, models.qutrit_probe(), 1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected_at_construction(self, t):
+        with pytest.raises(ValueError, match="interaction time"):
+            oracle.exact_evolved_family(QUBIT1, models.qubit_probe(0.8, 0.2), t)
 
 
 class TestCouplingArity:

@@ -283,6 +283,24 @@ class TestQfiMatrix:
             q.spectrum[0] = 0.0
 
 
+class TestUhlmannMatrix:
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[0.0, 0.5], [0.5, 0.0]],
+            [[0.0, math.nan], [math.nan, 0.0]],
+            [[0.0, math.inf, 0.0], [-math.inf, 0.0, 0.0], [0.0, 0.0, 0.0]],
+            [[math.inf, 0.0], [0.0, 0.0]],
+        ],
+        ids=["symmetric", "nan", "inf-pair", "inf-diagonal"],
+    )
+    def test_rejects_invalid_entries(self, entries):
+        # a nan entry used to pass and make R nan; an antisymmetric inf
+        # pair ended in numpy's LinAlgError inside quantumness_r
+        with pytest.raises(ValueError):
+            UhlmannMatrix(np.array(entries))
+
+
 class TestStaticReport:
     def test_one_spectrum_per_report(self, monkeypatch):
         cs = corrections_for(ANHARMONIC)
