@@ -59,9 +59,7 @@ class CliValidationError(Exception):
     """Bad flags, unreadable model files, or invalid grids."""
 
 
-def _fmt(x: float | None) -> str:
-    if x is None:
-        return "nan"
+def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
@@ -140,12 +138,18 @@ def _resolve_probe(args, problem: PerturbationProblem, name: str) -> StateVector
     return problem.spectral.eigenstate(problem.level)
 
 
-def _report_fields(report) -> dict:
+def _parts(report) -> tuple:
+    """Q, D, B and R of a report, as the scan arrays hold them per row."""
+    r = math.nan if report.quantumness_r is None else report.quantumness_r
+    return report.qfim.entries, report.uhlmann.entries, report.bound_b, r
+
+
+def _report_fields(q, d, b, r) -> dict:
     return {
-        "qfim": report.qfim.entries.tolist(),
-        "uhlmann": report.uhlmann.entries.tolist(),
-        "bound_b": report.bound_b,
-        "quantumness_r": report.quantumness_r,
+        "qfim": q.tolist(),
+        "uhlmann": d.tolist(),
+        "bound_b": float(b),
+        "quantumness_r": None if math.isnan(r) else float(r),
     }
 
 
@@ -155,12 +159,11 @@ def _flat_header(p: int) -> list[str]:
     return cols + ["B", "R"]
 
 
-def _flat_row(report) -> list[str]:
-    p = report.qfim.num_parameters
-    q, d = report.qfim.entries, report.uhlmann.entries
+def _flat_row(q, d, b, r) -> list[str]:
+    p = q.shape[0]
     values = [q[i, j] for i in range(p) for j in range(i, p)]
     values += [d[i, j] for i in range(p) for j in range(i + 1, p)]
-    return [_fmt(v) for v in values] + [_fmt(report.bound_b), _fmt(report.quantumness_r)]
+    return [_fmt(v) for v in (*values, b, r)]
 
 
 def _run_static(args) -> str:
@@ -180,12 +183,12 @@ def _run_static(args) -> str:
             "fock_dim": args.fock_dim if name == "anharmonic" else None,
             "squared_norms": norms,
             "overlap": _pairs(omega) if omega is not None else None,
-            **_report_fields(report),
+            **_report_fields(*_parts(report)),
         }
         return json.dumps(payload, indent=2)
 
     header = _flat_header(problem.num_parameters)
-    row = _flat_row(report)
+    row = _flat_row(*_parts(report))
     header += [f"N{mu + 1}" for mu in range(problem.num_parameters)]
     row += [_fmt(n) for n in norms]
     if omega is not None and problem.num_parameters == 2:
@@ -207,11 +210,11 @@ def _run_dynamic(args) -> str:
             "model": name,
             "alpha": args.alpha,
             "time": args.time,
-            **_report_fields(report),
+            **_report_fields(*_parts(report)),
         }
         return json.dumps(payload, indent=2)
     header = ["t"] + _flat_header(problem.num_parameters)
-    row = [_fmt(args.time)] + _flat_row(report)
+    row = [_fmt(args.time)] + _flat_row(*_parts(report))
     return "\n".join([",".join(header), ",".join(row)]) + "\n"
 
 
@@ -222,10 +225,16 @@ def _run_scan(args) -> str:
         raise CliValidationError("--t-min must be below --t-max")
     if args.t_min < 0:
         raise CliValidationError("--t-min must be non-negative")
+    grid = np.linspace(args.t_min, args.t_max, args.t_steps)
+    if np.any(np.diff(grid) <= 0.0):
+        raise CliValidationError(
+            f"--t-min {args.t_min!r} and --t-max {args.t_max!r} are too close to hold "
+            f"{args.t_steps} distinct times"
+        )
     problem, name = _resolve_problem(args)
     psi0 = _resolve_probe(args, problem, name)
-    grid = np.linspace(args.t_min, args.t_max, args.t_steps)
     scan = scan_time(problem, psi0, grid)
+    rows = zip(scan.times, scan.qfim, scan.uhlmann, scan.bound_b, scan.quantumness_r)
 
     if args.output_format == "json":
         payload = {
@@ -233,10 +242,7 @@ def _run_scan(args) -> str:
             "model": name,
             "alpha": args.alpha,
             "static_reference": scan.static_reference,
-            "rows": [
-                {"t": float(t), **_report_fields(r)}
-                for t, r in zip(scan.times, scan.reports)
-            ],
+            "rows": [{"t": float(t), **_report_fields(*row)} for t, *row in rows],
         }
         return json.dumps(payload, indent=2)
 
@@ -244,8 +250,8 @@ def _run_scan(args) -> str:
     if scan.static_reference is not None:
         lines.append(f"# static_reference = {_fmt(scan.static_reference)}")
     lines.append(",".join(["t"] + _flat_header(problem.num_parameters)))
-    for t, report in zip(scan.times, scan.reports):
-        lines.append(",".join([_fmt(float(t))] + _flat_row(report)))
+    for t, *row in rows:
+        lines.append(",".join([_fmt(float(t))] + _flat_row(*row)))
     return "\n".join(lines) + "\n"
 
 

@@ -29,7 +29,8 @@ correction enters at second order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +45,15 @@ from .operators import (
     integrate_operator,
 )
 from .perturbation import PerturbationProblem, first_order_correction
-from .static_estimation import EstimationReport, bound_b, make_report, qfim_static
+from .static_estimation import (
+    EstimationReport,
+    _report_at,
+    assemble,
+    bound_b,
+    make_report,
+    qfim_static,
+    split_tensor,
+)
 
 __all__ = [
     "KOperator",
@@ -83,22 +92,46 @@ class KOperator:
 
 @dataclass(frozen=True, eq=False)
 class TimeScan:
-    """One estimation report per grid time, plus the static bound for comparison."""
+    """Q, D, B and R over a time grid, plus the static bound for comparison.
+
+    ``qfim`` and ``uhlmann`` hold one P x P matrix per grid time, shape
+    (T, P, P).  Construction validates them all in one batched pass
+    (:func:`~perturbsense.static_estimation.assemble`) and derives the
+    ascending QFIM spectra ``qfim_spectrum`` (T, P), the bounds ``bound_b``
+    (T,), +inf at singular times, and the quantumness ``quantumness_r``
+    (T,), nan at singular times.  Every array is read-only.  ``reports``
+    builds one :class:`EstimationReport` per time on first access.
+    """
 
     times: np.ndarray
-    reports: tuple[EstimationReport, ...]
+    qfim: np.ndarray
+    uhlmann: np.ndarray
     static_reference: float | None
+    qfim_spectrum: np.ndarray = field(init=False, repr=False)
+    bound_b: np.ndarray = field(init=False)
+    quantumness_r: np.ndarray = field(init=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        t.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "reports", tuple(self.reports))
-        if len(self.reports) != t.size:
-            raise ValueError("one report per grid time is required")
+        q = np.asarray(self.qfim, dtype=float)
+        d = np.asarray(self.uhlmann, dtype=float)
+        if t.ndim != 1 or q.ndim != 3 or q.shape[0] != t.size:
+            raise ValueError("one P x P QFIM per grid time is required")
+        derived = assemble(q, d)
+        names = ("times", "qfim", "uhlmann", "qfim_spectrum", "bound_b", "quantumness_r")
+        for name, a in zip(names, (t, q, d, *derived)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @cached_property
+    def reports(self) -> tuple[EstimationReport, ...]:
+        return tuple(
+            map(_report_at, self.qfim, self.uhlmann, self.qfim_spectrum,
+                self.bound_b, self.quantumness_r)
+        )
 
     def bound_values(self) -> np.ndarray:
-        return np.array([r.bound_b for r in self.reports])
+        return self.bound_b
 
 
 def k_operator_spectral(
@@ -250,18 +283,14 @@ def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray)
     return np.swapaxes(tangents, 0, 1), c
 
 
-def _reports(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray) -> list:
-    tangents, c = _probe_tangents(p, psi0, grid)
-    return [make_report(g) for g in geometric_tensor(c, tangents)]
-
-
 def dynamic_report(p: PerturbationProblem, psi0: StateVector, t: float) -> EstimationReport:
     """Dynamical QFIM, Uhlmann curvature, B and R at one interaction time.
 
     Runs the probe-space path of :func:`scan_time` on a one-point grid.
     """
     _check_time(t)
-    return _reports(p, psi0, np.array([float(t)]))[0]
+    tangents, c = _probe_tangents(p, psi0, np.array([float(t)]))
+    return make_report(geometric_tensor(c, tangents)[0])
 
 
 def _static_reference(p: PerturbationProblem, psi0: StateVector) -> float | None:
@@ -281,8 +310,10 @@ def _static_reference(p: PerturbationProblem, psi0: StateVector) -> float | None
 
 
 def scan_time(p: PerturbationProblem, psi0: StateVector, times) -> TimeScan:
-    """Evaluate the dynamical report on an increasing grid of times.
+    """Evaluate Q, D, B and R on an increasing grid of times.
 
+    The tangents of every time come from one eigensolve of H0, and Q, D,
+    B and R are assembled for the whole grid in one batched pass.
     Singular times are recorded (bound_b = +inf), never fatal.  The
     static reference bound is filled in when the probe coincides with an
     eigenstate of H0, so dynamical and static schemes can be compared.
@@ -296,8 +327,11 @@ def scan_time(p: PerturbationProblem, psi0: StateVector, times) -> TimeScan:
         raise ValueError("times must be non-negative")
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("time grid must be strictly increasing")
+    tangents, c = _probe_tangents(p, psi0, grid)
+    qfim, uhlmann = split_tensor(geometric_tensor(c, tangents))
     return TimeScan(
         times=grid,
-        reports=tuple(_reports(p, psi0, grid)),
+        qfim=qfim,
+        uhlmann=uhlmann,
         static_reference=_static_reference(p, psi0),
     )

@@ -5,6 +5,11 @@ the Uhlmann curvature, the total-variance bound B = Tr[Q^-1], and the
 quantumness (asymptotic incompatibility) R.  Everything is evaluated at
 leading order in the couplings, where the QFIM is four times the real
 part of the Gram matrix of the raw first-order corrections.
+
+The checks and the B and R formulas work on stacks of shape (..., P, P):
+:func:`assemble` validates a whole time grid and reads B and R off one
+batched ``eigvalsh``, and a single report is the one-matrix case of the
+same code.
 """
 
 from __future__ import annotations
@@ -29,12 +34,56 @@ __all__ = [
     "bound_b",
     "quantumness_r",
     "sld_two_param_explicit",
+    "split_tensor",
+    "assemble",
     "make_report",
     "static_report",
 ]
 
 SINGULARITY_RTOL = 1e-10
 R_CLIP_SLACK = 1e-9
+
+
+def _at(index: tuple) -> str:
+    """Where in a stack a check failed; empty for a single matrix."""
+    if not index:
+        return ""
+    return f" at grid index {int(index[0]) if len(index) == 1 else tuple(map(int, index))}"
+
+
+def _check_symmetry(m: np.ndarray, sign, what: str, kind: str) -> None:
+    """Raise ValueError unless every matrix of the stack is finite and
+    symmetric (``sign`` = np.subtract) or antisymmetric (np.add) to 1e-10."""
+    with np.errstate(invalid="ignore"):  # inf -/+ inf: nan, read as non-finite below
+        gap = np.abs(sign(m, np.swapaxes(m, -1, -2)))
+    if np.max(gap) <= 1e-10:
+        return
+    gap = np.max(gap, axis=(-2, -1))
+    k = np.unravel_index(np.argmax(~(gap <= 1e-10)), gap.shape)
+    problem = f"must be {kind}" if gap[k] > 1e-10 else "entries must be finite"
+    raise ValueError(f"{what} {problem}{_at(k)}")
+
+
+def _qfim_spectrum(m: np.ndarray) -> np.ndarray:
+    """Ascending spectra of a stack of QFIMs (..., P, P), after checking that
+    each is finite, symmetric and positive semidefinite."""
+    _check_symmetry(m, np.subtract, "QFIM", "symmetric")
+    eig = np.linalg.eigvalsh(m)
+    # the floor -1e-10 max(1, max|Q|) is at most -1e-10, so most stacks skip it
+    if np.min(eig[..., 0]) < -1e-10:
+        bad = eig[..., 0] < -1e-10 * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
+        if bad.any():
+            k = np.unravel_index(np.argmax(bad), bad.shape)
+            raise ValueError(f"QFIM must be positive semidefinite{_at(k)}")
+    return eig
+
+
+def _frozen(cls, **fields):
+    """A frozen dataclass instance from fields that were validated as a stack."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,15 +101,7 @@ class QfiMatrix:
         m = np.asarray(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"QFIM must be square, got shape {m.shape}")
-        asymmetry = float(np.max(np.abs(m - m.T)))
-        if asymmetry > 1e-10:
-            raise ValueError("QFIM must be symmetric")
-        if math.isnan(asymmetry):  # a non-finite entry makes it nan or inf
-            raise ValueError("QFIM entries must be finite")
-        floor = -1e-10 * max(1.0, float(np.max(np.abs(m))))
-        eig = np.linalg.eigvalsh(m)
-        if eig[0] < floor:
-            raise ValueError("QFIM must be positive semidefinite")
+        eig = _qfim_spectrum(m)
         m.setflags(write=False)
         eig.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -81,11 +122,7 @@ class UhlmannMatrix:
         m = np.asarray(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"Uhlmann matrix must be square, got shape {m.shape}")
-        antisymmetry = float(np.max(np.abs(m + m.T)))
-        if antisymmetry > 1e-10:
-            raise ValueError("Uhlmann matrix must be antisymmetric")
-        if math.isnan(antisymmetry):  # a non-finite entry makes it nan or inf
-            raise ValueError("Uhlmann matrix entries must be finite")
+        _check_symmetry(m, np.add, "Uhlmann matrix", "antisymmetric")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -155,14 +192,12 @@ def _correction_tensor(corrections) -> np.ndarray:
 
 def qfim_static(corrections) -> QfiMatrix:
     """Leading-order QFIM: 4 Re of the Gram matrix of the raw corrections."""
-    q = _correction_tensor(corrections).real
-    return QfiMatrix(0.5 * (q + q.T))
+    return QfiMatrix(split_tensor(_correction_tensor(corrections))[0])
 
 
 def uhlmann_static(corrections) -> UhlmannMatrix:
     """Leading-order Uhlmann curvature: 4 Im of the raw-correction Gram matrix."""
-    d = _correction_tensor(corrections).imag
-    return UhlmannMatrix(0.5 * (d - d.T))
+    return UhlmannMatrix(split_tensor(_correction_tensor(corrections))[1])
 
 
 def _numerical_rank(eigenvalues: np.ndarray) -> int:
@@ -172,12 +207,40 @@ def _numerical_rank(eigenvalues: np.ndarray) -> int:
     return int(np.count_nonzero(eigenvalues > SINGULARITY_RTOL * top))
 
 
+def _full_rank(eigenvalues: np.ndarray) -> np.ndarray:
+    """``_numerical_rank(eig) == P`` for each ascending spectrum of a stack."""
+    top = eigenvalues[..., -1]
+    return (top > 0.0) & (eigenvalues[..., 0] > SINGULARITY_RTOL * top)
+
+
+def _bound(eigenvalues: np.ndarray, regular: np.ndarray) -> np.ndarray:
+    """Tr[Q^-1] from the spectrum where ``regular``, +inf elsewhere."""
+    inverse = np.divide(
+        1.0, eigenvalues, out=np.zeros_like(eigenvalues), where=regular[..., None]
+    )
+    return np.where(regular, inverse.sum(axis=-1), math.inf)
+
+
+def _quantumness(
+    q: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray, regular: np.ndarray
+) -> np.ndarray:
+    """||i Q^-1 D||_inf where ``regular``, nan elsewhere (see :func:`quantumness_r`)."""
+    r = np.full(regular.shape, math.nan)
+    if q.shape[-1] == 2:
+        root = np.sqrt(
+            eigenvalues[..., 0] * eigenvalues[..., 1], out=np.ones(r.shape), where=regular
+        )
+        np.divide(np.abs(d[..., 0, 1]), root, out=r, where=regular)
+    elif regular.any():
+        ratio = np.linalg.eigvals(np.linalg.solve(q[regular], d[regular]))
+        r[regular] = np.max(np.abs(ratio), axis=-1)
+    r[(r > 1.0) & (r <= 1.0 + R_CLIP_SLACK)] = 1.0
+    return r
+
+
 def bound_b(q: QfiMatrix) -> float:
     """Total-variance bound Tr[Q^-1]; +inf when Q is numerically singular."""
-    eig = q.spectrum
-    if _numerical_rank(eig) < q.num_parameters:
-        return math.inf
-    return float(np.sum(1.0 / eig))
+    return float(_bound(q.spectrum, _full_rank(q.spectrum)))
 
 
 def quantumness_r(q: QfiMatrix, d: UhlmannMatrix) -> float:
@@ -196,14 +259,7 @@ def quantumness_r(q: QfiMatrix, d: UhlmannMatrix) -> float:
         raise SingularQfimError(
             "QFIM is singular; parameters are not jointly identifiable", rank=rank
         )
-    if q.num_parameters == 2:
-        det_q = float(np.prod(eig))
-        r = abs(float(d.entries[0, 1])) / math.sqrt(det_q)
-    else:
-        r = float(np.max(np.abs(np.linalg.eigvals(np.linalg.solve(q.entries, d.entries)))))
-    if 1.0 < r <= 1.0 + R_CLIP_SLACK:
-        r = 1.0
-    return r
+    return float(_quantumness(q.entries, d.entries, eig, np.asarray(True)))
 
 
 def sld_two_param_explicit(
@@ -261,23 +317,60 @@ def sld_two_param_explicit(
     return HermitianOperator(l1), HermitianOperator(l2)
 
 
+def split_tensor(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q = sym(Re G) and D = antisym(Im G) of geometric tensors G, shape (..., P, P)."""
+    q, d = tensor.real, tensor.imag
+    return 0.5 * (q + np.swapaxes(q, -1, -2)), 0.5 * (d - np.swapaxes(d, -1, -2))
+
+
+def assemble(qfim: np.ndarray, uhlmann: np.ndarray):
+    """Spectra, bounds B and quantumness R of stacks of Q and D, shape (..., P, P).
+
+    Every Q and D is validated as :class:`QfiMatrix` and
+    :class:`UhlmannMatrix` validate one matrix; a failing check raises
+    their ``ValueError`` naming the first bad index of the stack.  Returns
+    the ascending spectra (..., P), B (...) and R (...); where Q is
+    numerically singular B is +inf and R is nan.  One ``eigvalsh`` call
+    serves the whole stack.
+    """
+    qfim = np.asarray(qfim, dtype=float)
+    uhlmann = np.asarray(uhlmann, dtype=float)
+    if qfim.ndim < 2 or qfim.shape[-1] != qfim.shape[-2]:
+        raise ValueError(f"QFIM must be square, got shape {qfim.shape}")
+    if uhlmann.shape != qfim.shape:
+        raise DimensionMismatchError("QFIM and Uhlmann matrix sizes differ")
+    eig = _qfim_spectrum(qfim)
+    _check_symmetry(uhlmann, np.add, "Uhlmann matrix", "antisymmetric")
+    regular = _full_rank(eig)
+    return eig, _bound(eig, regular), _quantumness(qfim, uhlmann, eig, regular)
+
+
+def _report_at(qfim, uhlmann, spectrum, b, r, slds=None) -> EstimationReport:
+    """The report of one point of :func:`assemble`'s validated output."""
+    return EstimationReport(
+        qfim=_frozen(QfiMatrix, entries=qfim, spectrum=spectrum),
+        uhlmann=_frozen(UhlmannMatrix, entries=uhlmann),
+        bound_b=float(b),
+        quantumness_r=None if math.isnan(r) else float(r),
+        slds=slds,
+    )
+
+
 def make_report(tensor: np.ndarray, slds=None) -> EstimationReport:
     """QFIM, Uhlmann curvature, B and R from one P x P geometric tensor.
 
     ``tensor`` is the output of :func:`~perturbsense.operators.geometric_tensor`
     for one point: Q is its symmetrized real part and D its antisymmetrized
     imaginary part.  A singular QFIM yields bound_b = +inf and
-    quantumness_r = None.
+    quantumness_r = None.  This is the single-point case of :func:`assemble`.
     """
-    q, d = tensor.real, tensor.imag
-    qfim = QfiMatrix(0.5 * (q + q.T))
-    uhlmann = UhlmannMatrix(0.5 * (d - d.T))
-    b = bound_b(qfim)
-    try:
-        r = quantumness_r(qfim, uhlmann)
-    except SingularQfimError:
-        r = None
-    return EstimationReport(qfim=qfim, uhlmann=uhlmann, bound_b=b, quantumness_r=r, slds=slds)
+    if np.ndim(tensor) != 2:
+        raise ValueError(f"one P x P tensor is required, got shape {np.shape(tensor)}")
+    q, d = split_tensor(tensor)
+    spectrum, b, r = assemble(q, d)
+    for a in (q, d, spectrum):
+        a.setflags(write=False)
+    return _report_at(q, d, spectrum, b, r, slds=slds)
 
 
 def static_report(corrections, include_slds: bool = False) -> EstimationReport:

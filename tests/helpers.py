@@ -37,6 +37,19 @@ def count_eigh(monkeypatch) -> list:
     return calls
 
 
+def count_eigvalsh(monkeypatch) -> list:
+    """Record the shape of every ``np.linalg.eigvalsh`` call from now on."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    return calls
+
+
 def x_power_element(m: int, n: int, power: int) -> float:
     """<m| x^power |n> by expanding (a + a^dag)^power over operator strings.
 

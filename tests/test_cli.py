@@ -185,6 +185,42 @@ class TestScanCommand:
                 "scan", "--model", "qubit",
                 "--t-min", t_min, "--t-max", t_max, "--t-steps", "3",
             )
+        # np.linspace repeats points when the interval holds too few doubles
+        for t_min, t_max, steps in (("0", "5e-324", "3"), ("1", "1.0000000000000002", "5")):
+            code, _, err = run_cli(
+                capsys,
+                "scan", "--model", "qubit",
+                "--t-min", t_min, "--t-max", t_max, "--t-steps", steps,
+            )
+            assert code == 2
+            assert "too close" in err
+
+    def test_reads_arrays_not_reports(self, capsys, monkeypatch):
+        # the one QfiMatrix is the static reference's; rows come from the arrays
+        from perturbsense import dynamic_estimation, static_estimation
+
+        built = []
+        post_init = static_estimation.QfiMatrix.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        def no_reports(self):
+            raise AssertionError("the scan command must not build per-time reports")
+
+        monkeypatch.setattr(static_estimation.QfiMatrix, "__post_init__", counting_post_init)
+        monkeypatch.setattr(dynamic_estimation.TimeScan, "reports", property(no_reports))
+        for fmt in ("csv", "json"):
+            built.clear()
+            code, _, _ = run_cli(
+                capsys,
+                "scan", "--model", "anharmonic",
+                "--t-min", "0.05", "--t-max", "3.1", "--t-steps", "200",
+                "--output-format", fmt,
+            )
+            assert code == 0
+            assert len(built) <= 1
 
 
 class TestHamiltonianFile:

@@ -12,11 +12,13 @@ from perturbsense import (
     HermitianOperator,
     PerturbationProblem,
     StateVector,
+    TimeScan,
     dynamic_report,
     expectation,
     hermitian_eig,
     k_operator_quadrature,
     k_operator_spectral,
+    make_report,
     qfi_dynamic_single,
     qfim_dynamic,
     scan_time,
@@ -24,7 +26,7 @@ from perturbsense import (
 from perturbsense import models, oracle
 from perturbsense.models import ModelKind, ModelSpec
 
-from helpers import count_eigh, random_hermitian, random_state
+from helpers import count_eigh, count_eigvalsh, random_hermitian, random_state
 
 QUBIT1 = models.build(ModelSpec(ModelKind.QUBIT_1PARAM))
 ANHARMONIC = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
@@ -298,6 +300,66 @@ class TestScanTime:
         scan = scan_time(fresh, VACUUM, np.linspace(0.1, 3.0, 8))
         assert scan.static_reference is not None
         assert len(calls) == 1
+
+    def test_one_qfim_spectrum_per_scan(self, monkeypatch):
+        # one batched eigvalsh for the grid, one for the static reference
+        problem = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=32))
+        calls = count_eigvalsh(monkeypatch)
+        scan = scan_time(problem, models.vacuum_state(32), np.linspace(0.05, 9.0, 200))
+        assert scan.static_reference is not None
+        assert sorted(calls) == [(2, 2), (200, 2, 2)]
+
+
+class TestTimeScanArrays:
+    GRID = np.array([0.0, 0.4, np.pi / 2, 2.5, np.pi])  # Q is singular at 0 and pi
+
+    def test_stored_arrays(self):
+        scan = scan_time(ANHARMONIC, VACUUM, self.GRID)
+        assert scan.qfim.shape == scan.uhlmann.shape == (5, 2, 2)
+        assert scan.qfim_spectrum.shape == (5, 2)
+        assert scan.bound_b.shape == scan.quantumness_r.shape == (5,)
+        for a in (scan.times, scan.qfim, scan.uhlmann, scan.qfim_spectrum,
+                  scan.bound_b, scan.quantumness_r):
+            assert not a.flags.writeable
+        assert scan.bound_values() is scan.bound_b
+        singular = np.array([True, False, False, False, True])
+        assert np.all(np.isinf(scan.bound_b[singular]))
+        assert np.all(np.isnan(scan.quantumness_r[singular]))
+        assert np.all(np.isfinite(scan.bound_b[~singular]))
+        assert np.all(np.isfinite(scan.quantumness_r[~singular]))
+
+    def test_reports_built_on_first_read(self):
+        scan = scan_time(ANHARMONIC, VACUUM, self.GRID)
+        assert "reports" not in vars(scan)
+        reports = scan.reports
+        assert scan.reports is reports and len(reports) == 5
+        for k, report in enumerate(reports):
+            # Q + iD splits back into exactly Q and D: the single-point path
+            single = make_report(scan.qfim[k] + 1j * scan.uhlmann[k])
+            for r in (report, single):
+                assert np.array_equal(r.qfim.entries, scan.qfim[k])
+                assert np.array_equal(r.qfim.spectrum, scan.qfim_spectrum[k])
+                assert np.array_equal(r.uhlmann.entries, scan.uhlmann[k])
+                assert r.bound_b == scan.bound_b[k]
+                if math.isnan(scan.quantumness_r[k]):
+                    assert r.quantumness_r is None and r.singular
+                else:
+                    assert r.quantumness_r == scan.quantumness_r[k]
+
+    @pytest.mark.parametrize("k", [0, 3, 4])
+    def test_construction_names_bad_grid_index(self, k):
+        scan = scan_time(ANHARMONIC, VACUUM, self.GRID)
+        q = scan.qfim.copy()
+        q[k, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match=f"QFIM must be symmetric at grid index {k}$"):
+            TimeScan(times=scan.times, qfim=q, uhlmann=scan.uhlmann, static_reference=None)
+        d = scan.uhlmann.copy()
+        d[k, 0, 1] = math.nan
+        with pytest.raises(ValueError, match=f"entries must be finite at grid index {k}$"):
+            TimeScan(times=scan.times, qfim=scan.qfim, uhlmann=d, static_reference=None)
+        with pytest.raises(ValueError, match="per grid time"):
+            TimeScan(times=scan.times[:-1], qfim=scan.qfim, uhlmann=scan.uhlmann,
+                     static_reference=None)
 
 
 def _per_time_reference(problem, probe, grid):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from perturbsense import (
     UhlmannMatrix,
     ZeroCorrectionError,
     bound_b,
+    geometric_tensor,
+    make_report,
     first_order_correction,
     overlaps,
     perturbed_state,
@@ -30,8 +33,9 @@ from perturbsense import (
 )
 from perturbsense import models
 from perturbsense.models import ModelKind, ModelSpec
+from perturbsense.static_estimation import assemble, split_tensor
 
-from helpers import random_hermitian
+from helpers import random_hermitian, random_state
 
 QUBIT1 = models.build(ModelSpec(ModelKind.QUBIT_1PARAM))
 ANHARMONIC = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM))
@@ -403,3 +407,112 @@ class TestSldTwoParamExplicit:
             )
             residual = np.max(np.abs(sld.matrix - generic))
             assert residual <= 10.0 * float(np.dot(lam, lam))
+
+
+def random_tensor_stack(rng, n_points, n_params, dim=6):
+    """Geometric tensors of random tangents with singular rows.
+
+    Row 1 has zero tangents (Q = 0).  For P > 1 the last tangent of row 3
+    is twice the first (rank P - 1, up to rounding).
+    """
+    psi = random_state(rng, dim)
+    tangents = rng.normal(size=(n_points, n_params, dim)) + 1j * rng.normal(
+        size=(n_points, n_params, dim)
+    )
+    tangents[1] = 0.0
+    tangents[3, -1] = 2.0 * tangents[3, 0]
+    return geometric_tensor(psi, tangents)
+
+
+class TestAssemble:
+    """The batched assembly of a stack against one point at a time."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n_params", [1, 2, 3, 4])
+    def test_batch_matches_single_points_bit_for_bit(self, n_params, seed):
+        rng = np.random.default_rng(1700 + 10 * n_params + seed)
+        tensors = random_tensor_stack(rng, 7, n_params)
+        q, d = split_tensor(tensors)
+        spectrum, b, r = assemble(q, d)
+        assert spectrum.shape == (7, n_params) and b.shape == r.shape == (7,)
+        for k, tensor in enumerate(tensors):
+            report = make_report(tensor)
+            assert np.array_equal(report.qfim.entries, q[k])
+            assert np.array_equal(report.uhlmann.entries, d[k])
+            assert np.array_equal(report.qfim.spectrum, spectrum[k])
+            assert report.bound_b == b[k]
+            single = QfiMatrix(q[k])
+            assert bound_b(single) == b[k]
+            if report.singular:
+                assert report.quantumness_r is None and math.isnan(r[k])
+                continue
+            assert report.quantumness_r == r[k]
+            assert quantumness_r(single, UhlmannMatrix(d[k])) == r[k]
+            # the per-point formulas the batched assembly replaced
+            eig = np.linalg.eigvalsh(q[k])
+            assert b[k] == float(np.sum(1.0 / eig))
+            if n_params == 2:
+                expected = abs(float(d[k, 0, 1])) / math.sqrt(float(np.prod(eig)))
+            else:
+                ratio = np.linalg.eigvals(np.linalg.solve(q[k], d[k]))
+                expected = float(np.max(np.abs(ratio)))
+            assert r[k] == (1.0 if 1.0 < expected <= 1.0 + 1e-9 else expected)
+
+    @pytest.mark.parametrize("n_params", [1, 2, 3, 4])
+    def test_singular_rows(self, n_params):
+        rng = np.random.default_rng(1800 + n_params)
+        spectrum, b, r = assemble(*split_tensor(random_tensor_stack(rng, 5, n_params)))
+        singular = [1, 3] if n_params > 1 else [1]
+        assert np.all(np.isinf(b[singular])) and np.all(np.isnan(r[singular]))
+        regular = [k for k in range(5) if k not in singular]
+        assert np.all(np.isfinite(b[regular])) and np.all(r[regular] <= 1.0)
+
+    def test_singular_rows_raise_no_warning(self):
+        # eigenvalues inside the PSD floor: neither 1/0 nor sqrt of a negative
+        q = np.array([np.diag([-1e-12, 1.0]), np.zeros((2, 2)), np.diag([1e-12, 1.0]), np.eye(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, b, r = assemble(q, np.zeros_like(q))
+        assert np.all(np.isinf(b[:3])) and np.all(np.isnan(r[:3]))
+        assert b[3] == 2.0 and r[3] == 0.0
+
+    @pytest.mark.parametrize("n_params", [2, 3])
+    def test_r_clipped_to_one_within_slack(self, n_params):
+        d = np.zeros((2, n_params, n_params))
+        d[:, 0, 1] = [1.0 + 5e-10, 1.0 + 1e-8]
+        d[:, 1, 0] = -d[:, 0, 1]
+        q = np.broadcast_to(np.eye(n_params), d.shape).copy()
+        _, _, r = assemble(q, d)
+        assert r[0] == 1.0 and r[1] == pytest.approx(1.0 + 1e-8, abs=1e-15)
+        assert quantumness_r(QfiMatrix(q[0]), UhlmannMatrix(d[0])) == 1.0
+
+    BAD_Q = {
+        "asymmetric": ((0, 1), 0.7, "must be symmetric"),
+        "indefinite": ((Ellipsis,), [[1.0, 2.0], [2.0, 1.0]], "must be positive semidefinite"),
+        "nan": ((0, 0), math.nan, "entries must be finite"),
+        "inf": ((1, 1), math.inf, "entries must be finite"),
+    }
+
+    @pytest.mark.parametrize("k", [0, 2, 5])
+    @pytest.mark.parametrize("case", sorted(BAD_Q))
+    def test_bad_qfim_names_grid_index(self, case, k):
+        rng = np.random.default_rng(1900)
+        q, d = split_tensor(geometric_tensor(random_state(rng, 4), rng.normal(size=(6, 2, 4))))
+        entry, value, message = self.BAD_Q[case]
+        q[k][entry] = value
+        q[5][entry] = value  # a later bad row is not the one named
+        with pytest.raises(ValueError, match=f"^QFIM {message} at grid index {k}$"):
+            assemble(q, d)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_bad_uhlmann_names_grid_index(self, k):
+        rng = np.random.default_rng(1901)
+        q, d = split_tensor(geometric_tensor(random_state(rng, 4), rng.normal(size=(4, 2, 4))))
+        symmetric = d.copy()
+        symmetric[k, 1, 0] = symmetric[k, 0, 1] = 0.5
+        with pytest.raises(ValueError, match=f"antisymmetric at grid index {k}$"):
+            assemble(q, symmetric)
+        infinite = d.copy()
+        infinite[k, 0, 1], infinite[k, 1, 0] = math.inf, -math.inf
+        with pytest.raises(ValueError, match=f"entries must be finite at grid index {k}$"):
+            assemble(q, infinite)
