@@ -37,7 +37,7 @@ from .errors import (
     SingularQfimError,
 )
 from .operators import HermitianOperator, StateVector
-from .oracle import exact_eigenstate_family, exact_evolved_family, fd_qfim
+from .oracle import exact_eigenstate_family, exact_families, fd_qfim
 from .perturbation import PerturbationProblem, first_order_correction, overlaps
 from .static_estimation import static_report
 
@@ -292,14 +292,20 @@ def _run_oracle_check(args) -> str:
         first_order_correction(problem, mu) for mu in range(problem.num_parameters)
     ]
     engine = static_report(corrections)
-    q_fd, d_fd = fd_qfim(exact_eigenstate_family(problem), lam, eps=args.eps)
+    if args.time is None:
+        eigenstates = exact_eigenstate_family(problem)
+    else:
+        # each H(lambda) the eigenstate family solves also gives the
+        # evolved family its state there
+        psi0 = _resolve_probe(args, problem, name)
+        eigenstates, evolved = exact_families(problem, psi0, args.time)
+    q_fd, d_fd = fd_qfim(eigenstates, lam, eps=args.eps)
     checks += _entry_checks("static_Q", engine.qfim.entries, q_fd.entries)
     checks += _entry_checks("static_D", engine.uhlmann.entries, d_fd.entries, antisymmetric=True)
 
     if args.time is not None:
-        psi0 = _resolve_probe(args, problem, name)
         dyn = dynamic_report(problem, psi0, args.time)
-        q_fd, d_fd = fd_qfim(exact_evolved_family(problem, psi0, args.time), lam, eps=args.eps)
+        q_fd, d_fd = fd_qfim(evolved, lam, eps=args.eps)
         checks += _entry_checks("dynamic_Q", dyn.qfim.entries, q_fd.entries)
         checks += _entry_checks("dynamic_D", dyn.uhlmann.entries, d_fd.entries, antisymmetric=True)
 

@@ -13,6 +13,7 @@ __all__ = [
     "ParallelCorrectionsError",
     "SingularQfimError",
     "FiniteDifferenceError",
+    "FiniteDifferenceStepError",
     "LevelTrackingError",
 ]
 
@@ -72,6 +73,10 @@ class SingularQfimError(PerturbSenseError):
 
 class FiniteDifferenceError(PerturbSenseError):
     """A finite-difference estimate failed its internal consistency check."""
+
+
+class FiniteDifferenceStepError(PerturbSenseError, ValueError):
+    """A finite-difference step is not a positive finite number."""
 
 
 class LevelTrackingError(PerturbSenseError):

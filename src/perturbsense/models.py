@@ -148,8 +148,14 @@ def build(spec: ModelSpec) -> PerturbationProblem:
         a = lowering_operator(dim)
         h0 = a.conj().T @ a + 0.5 * np.eye(dim, dtype=complex)
         x = position_operator(dim)
-        x3 = np.linalg.matrix_power(x, 3)
-        x4 = np.linalg.matrix_power(x, 4)
+        # the products matrix_power forms, with x^2 formed once; complex
+        # throughout, since a real product rounds differently at some sizes.
+        # x^2 is released before the operators are checked, so the peak
+        # memory of the build holds no extra d x d matrix
+        x2 = x @ x
+        x3 = x2 @ x
+        x4 = x2 @ x2
+        del x2
         return PerturbationProblem(
             h0=HermitianOperator(h0),
             perturbations=(HermitianOperator(x3), HermitianOperator(x4)),

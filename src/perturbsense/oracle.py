@@ -14,7 +14,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FiniteDifferenceError, LevelTrackingError
+from .errors import (
+    DimensionMismatchError,
+    FiniteDifferenceError,
+    FiniteDifferenceStepError,
+    LevelTrackingError,
+)
 from .operators import StateVector
 from .perturbation import PerturbationProblem
 from .static_estimation import QfiMatrix, UhlmannMatrix
@@ -25,6 +30,7 @@ __all__ = [
     "fidelity_qfi",
     "fd_qfim",
     "exact_evolved_family",
+    "exact_families",
 ]
 
 DEFAULT_FD_STEP = 1e-4
@@ -36,8 +42,16 @@ FD_DISAGREEMENT_RTOL = 0.1
 FD_ABS_FLOOR = 1e-9
 
 
+def _solve(p: PerturbationProblem, lam) -> tuple[np.ndarray, np.ndarray]:
+    """The ``eigh`` pair of ``p.hamiltonian(lam)``: every oracle eigensolve of H(lambda)."""
+    return np.linalg.eigh(p.hamiltonian(lam).matrix)
+
+
 def exact_eigenstate(
-    p: PerturbationProblem, lambdas, path_steps: int = PATH_STEPS
+    p: PerturbationProblem,
+    lambdas,
+    path_steps: int = PATH_STEPS,
+    on_solve: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> StateVector:
     """Exact eigenvector of ``p.hamiltonian(lambdas)`` at the tracked level ``p.level``.
 
@@ -49,12 +63,17 @@ def exact_eigenstate(
     continuity along a straight path of ``path_steps`` solves from
     lambda = 0, the last of which is that same solve.  The phase is fixed
     by a positive overlap with the unperturbed eigenvector.
+
+    ``on_solve``, if given, receives the eigenvalues and eigenvectors of
+    that solve at lambda, so a caller can reuse it without a second one.
     """
     if path_steps < 1:
         raise ValueError(f"path_steps must be at least 1, got {path_steps}")
     lam = np.asarray(lambdas, dtype=float)
     v0 = p.spectral.eigenvectors[:, p.level]
-    _, end = np.linalg.eigh(p.hamiltonian(lam).matrix)
+    vals, end = _solve(p, lam)
+    if on_solve is not None:
+        on_solve(vals, end)
     projections = np.abs(end.conj().T @ v0)
     idx = int(np.argmax(projections))
     if projections[idx] ** 2 >= DIRECT_OVERLAP_MIN:
@@ -65,7 +84,7 @@ def exact_eigenstate(
             if step == path_steps:
                 vecs = end
             else:
-                _, vecs = np.linalg.eigh(p.hamiltonian(lam * (step / path_steps)).matrix)
+                _, vecs = _solve(p, lam * (step / path_steps))
             projections = np.abs(vecs.conj().T @ v_prev)
             idx = int(np.argmax(projections))
             if projections[idx] ** 2 < 0.5:
@@ -89,6 +108,13 @@ def exact_eigenstate_family(p: PerturbationProblem) -> Callable[[np.ndarray], St
     return family
 
 
+def _check_step(eps: float) -> None:
+    if not 0.0 < eps < math.inf:
+        raise FiniteDifferenceStepError(
+            f"finite-difference step must be positive and finite, got {eps}"
+        )
+
+
 def fidelity_qfi(
     family: Callable[[float], StateVector],
     lam: float,
@@ -102,8 +128,7 @@ def fidelity_qfi(
     fixes the prefactor.  With ``richardson`` the eps and eps/2 quotients
     are extrapolated (the truncation error is quadratic in the step).
     """
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"finite-difference step must be positive and finite, got {eps}")
+    _check_step(eps)
 
     def quotient(step: float) -> float:
         lo = family(lam - step / 2.0).amplitudes
@@ -163,8 +188,7 @@ def fd_qfim(
     eps/2 estimates must agree within 10%, which catches steps small
     enough for catastrophic cancellation; the finer estimate is returned.
     """
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"finite-difference step must be positive and finite, got {eps}")
+    _check_step(eps)
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 1:
         raise ValueError("lambda must be a 1-d coupling vector")
@@ -190,6 +214,21 @@ def exact_evolved_family(
     p: PerturbationProblem, psi0: StateVector, t: float
 ) -> Callable[[np.ndarray], StateVector]:
     """Map lambda -> exp(-i H(lambda) t)|psi0> by exact diagonalization."""
+    return exact_families(p, psi0, t)[1]
+
+
+def exact_families(
+    p: PerturbationProblem, psi0: StateVector, t: float
+) -> tuple[Callable[[np.ndarray], StateVector], Callable[[np.ndarray], StateVector]]:
+    """The eigenstate and evolved families of one problem, one solve per lambda.
+
+    Each solve of H(lambda) by the eigenstate family also yields the
+    evolved state there, which is held (one vector per lambda) until the
+    evolved family asks for it; at any other lambda the evolved family
+    solves for itself.  Either family returns the same bits as
+    ``exact_eigenstate_family(p)`` and ``exact_evolved_family(p, psi0, t)``,
+    whatever the call order.
+    """
     if psi0.dim != p.dim:
         raise DimensionMismatchError(
             f"probe dimension {psi0.dim} does not match problem dimension {p.dim}"
@@ -197,10 +236,25 @@ def exact_evolved_family(
     if not math.isfinite(t):
         raise ValueError(f"interaction time must be finite, got {t}")
     amplitudes = psi0.amplitudes
+    # keyed by shape too, so a misshapen lambda with the same bytes is
+    # still refused by the solve
+    evolved_at: dict[tuple[tuple[int, ...], bytes], StateVector] = {}
 
-    def family(lambdas) -> StateVector:
-        vals, vecs = np.linalg.eigh(p.hamiltonian(lambdas).matrix)
+    def evolve(vals: np.ndarray, vecs: np.ndarray) -> StateVector:
         coeffs = vecs.conj().T @ amplitudes
         return StateVector(vecs @ (np.exp(-1j * vals * t) * coeffs))
 
-    return family
+    def eigenstate(lambdas) -> StateVector:
+        lam = np.asarray(lambdas, dtype=float)
+
+        def keep(vals, vecs):
+            evolved_at[lam.shape, lam.tobytes()] = evolve(vals, vecs)
+
+        return exact_eigenstate(p, lam, on_solve=keep)
+
+    def evolved(lambdas) -> StateVector:
+        lam = np.asarray(lambdas, dtype=float)
+        state = evolved_at.pop((lam.shape, lam.tobytes()), None)
+        return evolve(*_solve(p, lam)) if state is None else state
+
+    return eigenstate, evolved

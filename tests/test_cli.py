@@ -350,12 +350,12 @@ class TestOracleCheckCommand:
         assert lines[0] == "check,engine,oracle,rel_error"
         assert any(line.startswith("static_Q11,") for line in lines)
 
-    @pytest.mark.parametrize("extra, expected", [([], 10), (["--time", "1.3"], 19)])
+    @pytest.mark.parametrize("extra, expected", [([], 10), (["--time", "1.3"], 10)])
     def test_eigensolve_count(self, capsys, monkeypatch, extra, expected):
         # one H0 solve for the engine and the oracle together; each of the 9
         # eigenstate samples is one direct solve at its lambda (the path walk
-        # is not needed at these weak couplings), and each of the 9 evolved
-        # samples one solve
+        # is not needed at these weak couplings), and with --time the evolved
+        # family takes its 9 samples from those same solves, so it adds none
         calls = count_eigh(monkeypatch)
         code, _, err = run_cli(
             capsys,

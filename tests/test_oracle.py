@@ -10,8 +10,10 @@ import pytest
 from perturbsense import (
     DimensionMismatchError,
     FiniteDifferenceError,
+    FiniteDifferenceStepError,
     HermitianOperator,
     LevelTrackingError,
+    PerturbSenseError,
     PerturbationProblem,
     StateVector,
     first_order_correction,
@@ -23,7 +25,7 @@ from perturbsense import (
 from perturbsense import models, oracle
 from perturbsense.models import ModelKind, ModelSpec
 
-from helpers import count_eigh, phase_align, random_hermitian
+from helpers import count_eigh, phase_align, random_hermitian, random_state
 
 QUBIT1 = models.build(ModelSpec(ModelKind.QUBIT_1PARAM))
 
@@ -125,9 +127,7 @@ class TestDirectStep:
     def test_avoided_crossing_falls_back_to_walk(self, monkeypatch):
         # at lambda = 0.5 the tracked level keeps only 0.854 of v0, below
         # the direct step's 0.9, so the walk resolves it
-        h0 = HermitianOperator(np.diag([0.0, 1.0]).astype(complex))
-        sigma_x = HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-        problem = PerturbationProblem(h0=h0, perturbations=(sigma_x,), level=0)
+        problem = avoided_crossing_problem()
         problem.spectral
         calls = count_eigh(monkeypatch)
         state = oracle.exact_eigenstate(problem, [0.5])
@@ -162,6 +162,108 @@ class TestDirectStep:
                 walked = oracle.exact_eigenstate(problem, lam).amplitudes
                 assert len(calls) == 1 + oracle.PATH_STEPS
             assert np.array_equal(direct, walked)
+
+
+def avoided_crossing_problem():
+    """H0 = diag(0, 1), H1 = sigma_x: at lambda = 0.5 the tracked level keeps 0.854 of v0."""
+    h0 = HermitianOperator(np.diag([0.0, 1.0]).astype(complex))
+    sigma_x = HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+    return PerturbationProblem(h0=h0, perturbations=(sigma_x,), level=0)
+
+
+def shared_solve_cases():
+    """(name, problem, probe) for the presets and seeded random weak models."""
+    cases = [(name, problem, preset_probe(name, problem)) for name, problem in preset_problems()]
+    for seed in range(4):
+        problem = weak_random_problem(seed)
+        probe = StateVector(random_state(np.random.default_rng(900 + seed), problem.dim))
+        cases.append((f"random{seed}", problem, probe))
+    return cases
+
+
+class TestSharedSolve:
+    T = 1.3
+
+    @pytest.mark.parametrize("case", shared_solve_cases(), ids=lambda c: c[0])
+    def test_joint_families_match_separate_ones(self, monkeypatch, case):
+        # the evolved state comes from the eigenstate sample's own solve, so
+        # it is the same column of the same eigh as a separate solve gives
+        _, problem, probe = case
+        problem.spectral
+        eigenstates, evolved = oracle.exact_families(problem, probe, self.T)
+        separate_eigenstate = oracle.exact_eigenstate_family(problem)
+        separate_evolved = oracle.exact_evolved_family(problem, probe, self.T)
+        rng = np.random.default_rng(12)
+        for lam in (
+            np.full(problem.num_parameters, 1e-3),
+            np.full(problem.num_parameters, -1e-3),
+            1e-3 * rng.normal(size=problem.num_parameters),
+        ):
+            with monkeypatch.context() as m:
+                calls = count_eigh(m)
+                state = eigenstates(lam).amplitudes
+                assert len(calls) == 1
+                shared = evolved(lam).amplitudes
+                assert len(calls) == 1
+            assert np.array_equal(state, separate_eigenstate(lam).amplitudes)
+            assert np.array_equal(shared, separate_evolved(lam).amplitudes)
+
+    @pytest.mark.parametrize("case", shared_solve_cases(), ids=lambda c: c[0])
+    def test_evolved_family_independent_of_call_order(self, monkeypatch, case):
+        _, problem, probe = case
+        problem.spectral
+        lam = np.full(problem.num_parameters, 1e-3)
+        unseen = np.full(problem.num_parameters, -2e-3)
+        expected = oracle.exact_evolved_family(problem, probe, self.T)
+        eigenstates, evolved = oracle.exact_families(problem, probe, self.T)
+        calls = count_eigh(monkeypatch)
+        first = evolved(lam).amplitudes
+        eigenstates(lam)
+        again = evolved(lam).amplitudes
+        eigenstates(lam)
+        elsewhere = evolved(unseen).amplitudes
+        # evolved first solves for itself, the eigenstate sample solves again
+        # and hands its state over, which is used once, and an unseen lambda
+        # is solved afresh
+        assert len(calls) == 4
+        assert np.array_equal(first, expected(lam).amplitudes)
+        assert np.array_equal(again, first)
+        assert np.array_equal(elsewhere, expected(unseen).amplitudes)
+
+    def test_fd_qfim_matches_separate_families(self, monkeypatch):
+        problem = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
+        probe = models.vacuum_state(problem.dim)
+        lam = np.array([1e-3, -1e-3])
+        q_ref, d_ref = oracle.fd_qfim(oracle.exact_evolved_family(problem, probe, self.T), lam)
+        eigenstates, evolved = oracle.exact_families(problem, probe, self.T)
+        oracle.fd_qfim(eigenstates, lam)
+        calls = count_eigh(monkeypatch)
+        q, d = oracle.fd_qfim(evolved, lam)
+        assert calls == []
+        assert np.array_equal(q.entries, q_ref.entries)
+        assert np.array_equal(d.entries, d_ref.entries)
+
+    def test_avoided_crossing_walks_and_shares_endpoint(self, monkeypatch):
+        problem = avoided_crossing_problem()
+        problem.spectral
+        probe = StateVector(np.array([1.0, 1.0j]) / math.sqrt(2.0))
+        lam = np.array([0.5])
+        eigenstates, evolved = oracle.exact_families(problem, probe, self.T)
+        calls = count_eigh(monkeypatch)
+        state = eigenstates(lam).amplitudes
+        assert len(calls) == oracle.PATH_STEPS
+        shared = evolved(lam).amplitudes
+        assert len(calls) == oracle.PATH_STEPS
+        assert np.array_equal(state, oracle.exact_eigenstate(problem, lam).amplitudes)
+        expected = oracle.exact_evolved_family(problem, probe, self.T)(lam).amplitudes
+        assert np.array_equal(shared, expected)
+
+    def test_misshapen_lambda_still_rejected(self):
+        # a (1, 1) lambda has the bytes of the shared (1,) sample
+        eigenstates, evolved = oracle.exact_families(QUBIT1, models.qubit_probe(0, 0), self.T)
+        eigenstates(np.array([1e-3]))
+        with pytest.raises(ValueError, match="couplings"):
+            evolved(np.array([[1e-3]]))
 
 
 class TestFidelityQfi:
@@ -310,6 +412,18 @@ class TestBadStep:
         family = oracle.exact_eigenstate_family(QUBIT1)
         with pytest.raises(ValueError, match="finite-difference step"):
             oracle.fidelity_qfi(lambda l: family(np.array([l])), 1e-3, eps)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-4, math.nan, math.inf])
+    def test_step_error_is_typed(self, eps):
+        family = oracle.exact_eigenstate_family(QUBIT1)
+        for call in (
+            lambda: oracle.fd_qfim(family, np.array([1e-3]), eps=eps),
+            lambda: oracle.fidelity_qfi(lambda l: family(np.array([l])), 1e-3, eps),
+        ):
+            with pytest.raises(FiniteDifferenceStepError) as info:
+                call()
+            assert isinstance(info.value, PerturbSenseError)
+            assert isinstance(info.value, ValueError)
 
 
 class TestExactEvolvedFamily:
