@@ -31,6 +31,7 @@ from . import models
 from .dynamic_estimation import dynamic_report, scan_time
 from .errors import (
     DegeneracyError,
+    EigensolverError,
     FiniteDifferenceError,
     LevelTrackingError,
     PerturbSenseError,
@@ -445,7 +446,13 @@ def run(args: argparse.Namespace) -> int:
     except CliValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (DegeneracyError, SingularQfimError, LevelTrackingError, FiniteDifferenceError) as exc:
+    except (
+        DegeneracyError,
+        EigensolverError,
+        SingularQfimError,
+        LevelTrackingError,
+        FiniteDifferenceError,
+    ) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if args.out is None:

@@ -10,6 +10,8 @@ and all operations are pure functions.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,16 +40,41 @@ __all__ = [
 
 HERMITICITY_RTOL = 1e-12
 ORTHONORMALITY_ATOL = 1e-10
+RESIDUAL_RTOL = 1e-10
 NORM_ATOL = 1e-10
 NODES_PER_PANEL = 8
 PANELS_PER_UNIT_TIME = 16
 
 _GL_NODES, _GL_WEIGHTS = leggauss(NODES_PER_PANEL)
+# 2 pi i times the golden-ratio conjugate, the phase step of the probe chirp.
+_CHIRP_STEP = 1j * math.pi * (math.sqrt(5.0) - 1.0)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _require_finite(m: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    return m
+
+
+@functools.lru_cache(maxsize=8)
+def _probe(dim: int) -> np.ndarray:
+    """The chirp y_j = exp(2 pi i phi j), phi = (sqrt 5 - 1)/2, that the spectral checks apply.
+
+    Its entries have unit modulus, so every eigenpair enters a probe check
+    with full weight, and their phases are incommensurate, so errors in
+    different eigenpairs do not line up to cancel.
+    """
+    return _frozen(np.exp(np.arange(dim) * _CHIRP_STEP))
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm; nan or inf when ``x`` holds a non-finite entry."""
+    return math.sqrt(np.vdot(x, x).real)
 
 
 def complex_matrix(entries) -> np.ndarray:
@@ -57,9 +84,7 @@ def complex_matrix(entries) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
         raise ValueError("matrix dimension must be at least 1")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
+    return _require_finite(m)
 
 
 class HermitianOperator:
@@ -77,6 +102,18 @@ class HermitianOperator:
                 f"relative to max entry {scale:.3e}"
             )
         self._matrix = _frozen(m)
+
+    @classmethod
+    def _from_sum(cls, matrix: np.ndarray) -> "HermitianOperator":
+        """Wrap, without a copy, a real combination of validated operators.
+
+        Such a sum is Hermitian by construction, so only finiteness is
+        checked: an overflowing sum or a non-finite coefficient raises the
+        ``ValueError`` of the public constructor.
+        """
+        op = cls.__new__(cls)
+        op._matrix = _frozen(_require_finite(matrix))
+        return op
 
     @property
     def matrix(self) -> np.ndarray:
@@ -164,7 +201,14 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix.
+
+    Orthonormality is checked in O(d^2) on the probe chirp y: the defect
+    ||V^dag (V y) - y|| must not exceed ``ORTHONORMALITY_ATOL``.  A column
+    of norm 1 + e shows as about 2e, and an overlap c between two columns
+    as sqrt(2) |c|, so any single defect the entrywise Gram bound
+    max|V^dag V - I| <= ``ORTHONORMALITY_ATOL`` would refuse is refused.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -172,11 +216,24 @@ class SpectralDecomposition:
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=float)
         vecs = np.asarray(self.eigenvectors, dtype=complex)
-        if np.any(np.diff(vals) < 0):
+        if vals.ndim != 1 or vecs.shape != (vals.size, vals.size):
+            raise DimensionMismatchError(
+                f"{vals.shape} eigenvalues need a square matrix of as many "
+                f"eigenvector columns, got shape {vecs.shape}"
+            )
+        if not np.isfinite(vals).all():
+            raise ValueError("eigenvalues must be finite")
+        if (vals[1:] < vals[:-1]).any():
             raise ValueError("eigenvalues must be ascending")
-        gram = vecs.conj().T @ vecs
-        if np.max(np.abs(gram - np.eye(vecs.shape[1]))) > ORTHONORMALITY_ATOL:
-            raise ValueError("eigenvector columns are not orthonormal")
+        y = _probe(vals.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = vecs @ y
+            defect = _norm((w.conj() @ vecs).conj() - y)
+        if not defect <= ORTHONORMALITY_ATOL:
+            raise ValueError(
+                f"eigenvector columns are not orthonormal: probe defect {defect:.3e} "
+                f"exceeds {ORTHONORMALITY_ATOL:g}"
+            )
         object.__setattr__(self, "eigenvalues", _frozen(vals))
         object.__setattr__(self, "eigenvectors", _frozen(vecs))
 
@@ -199,6 +256,15 @@ def hermitian_eig(a: HermitianOperator) -> SpectralDecomposition:
     Each eigenvector's phase is chosen so that its largest-magnitude
     component is real and positive, which makes the output deterministic
     and keeps finite differences on eigenvector families stable.
+
+    The result is checked in O(d^2) on the probe chirp y: the residual
+    ||A (V y) - V (Lambda y)|| = ||sum_k y_k (A v_k - lambda_k v_k)|| must
+    not exceed ``RESIDUAL_RTOL * max(max|A|, 1)``.  Since |y_k| = 1, one
+    eigenpair off by a residual r shows at the full size ||r||, where the
+    entrywise bound on V Lambda V^dag - A saw an eigenvalue error e only as
+    e max_i |v_ik|^2.  Non-finite eigenvalues give a non-finite residual
+    and fail too, as does the orthonormality check of
+    :class:`SpectralDecomposition`; both raise :class:`EigensolverError`.
     """
     try:
         vals, vecs = np.linalg.eigh(a.matrix)
@@ -211,14 +277,19 @@ def hermitian_eig(a: HermitianOperator) -> SpectralDecomposition:
     pivots = vecs[pivot_rows, np.arange(vecs.shape[1])]
     vecs = vecs * np.conj(pivots / np.abs(pivots))[None, :]
 
-    scale = max(float(np.max(np.abs(a.matrix))), 1.0)
-    residual = np.max(np.abs((vecs * vals[None, :]) @ vecs.conj().T - a.matrix))
-    if residual > 1e-10 * scale:
+    scale = max(float(np.abs(a.matrix).max()), 1.0)
+    y = _probe(a.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = _norm(a.matrix @ (vecs @ y) - vecs @ (vals * y))
+    if not residual <= RESIDUAL_RTOL * scale:
         raise EigensolverError(
-            f"spectral reconstruction residual {residual:.3e} exceeds "
-            f"1e-10 * {scale:.3e}"
+            f"eigensolver probe residual {residual:.3e} exceeds "
+            f"{RESIDUAL_RTOL:g} * max(max|A|, 1) = {RESIDUAL_RTOL * scale:.3e}"
         )
-    return SpectralDecomposition(vals, vecs)
+    try:
+        return SpectralDecomposition(vals, vecs)
+    except ValueError as exc:
+        raise EigensolverError(f"eigensolver output rejected: {exc}") from exc
 
 
 def evolve(h: HermitianOperator, t: float, psi: StateVector) -> StateVector:

@@ -108,9 +108,12 @@ class PerturbationProblem:
                 f"expected {self.num_parameters} couplings, got shape {lam.shape}"
             )
         total = np.array(self.h0.matrix)
-        for value, h in zip(lam, self.perturbations):
-            total += value * h.matrix
-        return HermitianOperator(total)
+        # A nan or inf coupling, or an overflowing sum, is refused by
+        # _from_sum as a non-finite entry, without a RuntimeWarning first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for value, h in zip(lam, self.perturbations):
+                total += value * h.matrix
+        return HermitianOperator._from_sum(total)
 
 
 @dataclass(frozen=True, eq=False)

@@ -277,6 +277,22 @@ class TestHamiltonianFile:
         code, _, err = run_cli(capsys, "static", "--model", str(degenerate))
         assert code == 3
 
+    def test_overflowing_spectrum_is_numerical_error(self, capsys, tmp_path):
+        """max|H0| = 1.7e308: eigh returns [-inf, inf], which the eigensolver check refuses."""
+        pairs = lambda m: [[[z.real, z.imag] for z in row] for row in np.asarray(m, complex)]
+        payload = {
+            "dim": 2,
+            "h0": pairs(1.7e308 * np.array([[1.0, 1.0], [1.0, -1.0]])),
+            "perturbations": [pairs([[0, 1], [1, 0]])],
+        }
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "static", "--model", str(huge))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical error: eigensolver probe residual nan")
+        assert "Traceback" not in err
+
     def test_output_file(self, capsys, tmp_path):
         model_file = tmp_path / "qubit.json"
         self.write_qubit_file(model_file)

@@ -7,9 +7,11 @@ import pytest
 
 from perturbsense import (
     DimensionMismatchError,
+    EigensolverError,
     HermiticityError,
     HermitianOperator,
     QuadratureError,
+    SpectralDecomposition,
     StateVector,
     evolve,
     expectation,
@@ -17,7 +19,9 @@ from perturbsense import (
     hermitian_eig,
     integrate_operator,
 )
-from perturbsense.models import pauli_matrices, spin1_matrices
+from perturbsense import models
+from perturbsense.models import ModelKind, ModelSpec, pauli_matrices, spin1_matrices
+from perturbsense.operators import ORTHONORMALITY_ATOL, RESIDUAL_RTOL
 
 from helpers import random_hermitian, random_state
 
@@ -106,6 +110,198 @@ class TestHermitianEig:
         assert np.max(np.abs(rebuilt - a)) <= 1e-10 * max(np.max(np.abs(a)), 1.0)
         gram = dec.eigenvectors.conj().T @ dec.eigenvectors
         assert np.max(np.abs(gram - np.eye(dim))) <= 1e-10
+
+
+def _postcondition_cases():
+    """Every operator of the four presets, plus seeded random Hermitian matrices."""
+    specs = [
+        ModelSpec(ModelKind.QUBIT_1PARAM),
+        ModelSpec(ModelKind.QUBIT_2PARAM, alpha=0.7),
+        ModelSpec(ModelKind.QUTRIT_2PARAM, alpha=0.7),
+        ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16),
+    ]
+    cases = []
+    for spec in specs:
+        p = models.build(spec)
+        for i, h in enumerate((p.h0,) + p.perturbations):
+            cases.append(pytest.param(h.matrix, id=f"{spec.kind.value}-{i}"))
+    for dim in (5, 40):
+        a = random_hermitian(np.random.default_rng(dim), dim)
+        cases.append(pytest.param(a, id=f"random-{dim}"))
+    return cases
+
+
+POSTCONDITION_CASES = _postcondition_cases()
+
+
+def chirp(dim: int) -> np.ndarray:
+    """The documented probe: exp(2 pi i phi j), phi the golden-ratio conjugate."""
+    return np.exp(2j * np.pi * (np.sqrt(5.0) - 1.0) / 2.0 * np.arange(dim))
+
+
+def _corrupt_column(vals, vecs):
+    vecs[:, 0] += 1e-6
+    return vals, vecs
+
+
+def _swap_eigenvalues(vals, vecs):
+    vals[[0, -1]] = vals[[-1, 0]]
+    return vals, vecs
+
+
+def _skew_pair(vals, vecs):
+    vecs[:, 1] += 1e-6 * vecs[:, 0]
+    return vals, vecs
+
+
+MUTATIONS = [
+    pytest.param(_corrupt_column, id="corrupted-column"),
+    pytest.param(_swap_eigenvalues, id="swapped-eigenvalues"),
+    pytest.param(_skew_pair, id="non-orthonormal-pair"),
+]
+
+
+def _patch_eigh(monkeypatch, mutate):
+    """Make ``np.linalg.eigh`` return a mutated copy of its true result."""
+    eigh = np.linalg.eigh
+
+    def mutated_eigh(a):
+        vals, vecs = eigh(a)
+        return mutate(vals.copy(), vecs.copy())
+
+    monkeypatch.setattr(np.linalg, "eigh", mutated_eigh)
+
+
+class TestSpectralPostconditions:
+    """Each corruption of a valid decomposition fails the O(d^2) probe checks."""
+
+    @pytest.mark.parametrize("mutate", MUTATIONS)
+    @pytest.mark.parametrize("a", POSTCONDITION_CASES)
+    def test_hermitian_eig_refuses_mutated_eigensolver(self, monkeypatch, a, mutate):
+        _patch_eigh(monkeypatch, mutate)
+        with pytest.raises(EigensolverError):
+            hermitian_eig(HermitianOperator(a))
+
+    @pytest.mark.parametrize("mutate", MUTATIONS)
+    @pytest.mark.parametrize("a", POSTCONDITION_CASES)
+    def test_spectral_decomposition_refuses_mutation(self, a, mutate):
+        dec = hermitian_eig(HermitianOperator(a))
+        vals, vecs = mutate(dec.eigenvalues.copy(), dec.eigenvectors.copy())
+        with pytest.raises(ValueError):
+            SpectralDecomposition(vals, vecs)
+
+    @pytest.mark.parametrize("factor, refused", [(0.99, False), (1.01, True)])
+    @pytest.mark.parametrize("a", POSTCONDITION_CASES)
+    def test_eigenvalue_shift_at_the_tolerance(self, monkeypatch, a, factor, refused):
+        """One eigenvalue off by e gives a probe residual of e, since |y_k| = 1."""
+        scale = max(np.max(np.abs(a)), 1.0)
+
+        def shift(vals, vecs):
+            vals[-1] += factor * RESIDUAL_RTOL * scale  # the top level keeps the order
+            return vals, vecs
+
+        _patch_eigh(monkeypatch, shift)
+        if refused:
+            with pytest.raises(EigensolverError, match="probe residual"):
+                hermitian_eig(HermitianOperator(a))
+        else:
+            hermitian_eig(HermitianOperator(a))
+
+    @pytest.mark.parametrize("factor, refused", [(0.99, False), (1.01, True)])
+    @pytest.mark.parametrize("a", POSTCONDITION_CASES)
+    def test_column_norm_at_the_tolerance(self, a, factor, refused):
+        """A column of squared norm 1 + e gives an orthonormality defect of e."""
+        dec = hermitian_eig(HermitianOperator(a))
+        vecs = dec.eigenvectors.copy()
+        vecs[:, -1] *= np.sqrt(1.0 + factor * ORTHONORMALITY_ATOL)
+        if refused:
+            with pytest.raises(ValueError, match="not orthonormal"):
+                SpectralDecomposition(dec.eigenvalues, vecs)
+        else:
+            SpectralDecomposition(dec.eigenvalues, vecs)
+
+    def test_degenerate_mixing_refused_through_orthonormality(self, monkeypatch):
+        """A skewed pair inside an eigenspace has zero residual; the Gram probe catches it."""
+        _patch_eigh(monkeypatch, _skew_pair)
+        with pytest.raises(EigensolverError, match="not orthonormal"):
+            hermitian_eig(HermitianOperator(np.diag([1.0, 1.0, 2.0]).astype(complex)))
+
+    def test_rotation_invisible_to_a_constant_probe_refused(self, monkeypatch):
+        """V -> V exp(i eps K) keeps V orthonormal and, for this K and the
+        equally spaced qutrit levels, gives (Lambda K - K Lambda) 1 = 0: a probe
+        of equal phases sees only O(eps^2), while the chirp sees O(eps)."""
+        k = np.array([[0.0, -2.0, 1.0], [-2.0, 0.0, -2.0], [1.0, -2.0, 0.0]])
+        kappa, w = np.linalg.eigh(k)
+        rotation = (w * np.exp(1e-6j * kappa)) @ w.conj().T
+        h0 = models.build(ModelSpec(ModelKind.QUTRIT_2PARAM, alpha=0.7)).h0
+        vals = hermitian_eig(h0).eigenvalues
+        assert np.array_equal(vals, [-1.0, 0.0, 1.0])
+        commutator = vals[:, None] * k - k * vals[None, :]
+        assert np.allclose(commutator @ np.ones(3), 0.0)
+        _patch_eigh(monkeypatch, lambda vals, vecs: (vals, vecs @ rotation))
+        with pytest.raises(EigensolverError, match="probe residual"):
+            hermitian_eig(h0)
+
+    @pytest.mark.parametrize(
+        "vals, vecs",
+        [
+            pytest.param([np.nan, 1.0], np.eye(2), id="nan-eigenvalue"),
+            pytest.param([0.0, 1.0, np.nan], np.eye(3), id="nan-last-eigenvalue"),
+            pytest.param([-np.inf, np.inf], np.eye(2), id="inf-eigenvalues"),
+            pytest.param([0.0, 1.0], [[np.nan, 0.0], [0.0, 1.0]], id="nan-vector"),
+            pytest.param([0.0, 1.0], [[np.inf, 0.0], [0.0, 1.0]], id="inf-vector"),
+            pytest.param([0.0, 1.0], [[1e300, 0.0], [0.0, 1.0]], id="overflowing-vector"),
+        ],
+    )
+    def test_spectral_decomposition_refuses_non_finite(self, vals, vecs):
+        with pytest.raises(ValueError):
+            SpectralDecomposition(np.array(vals), np.array(vecs, dtype=complex))
+
+    @pytest.mark.parametrize(
+        "vals, vecs",
+        [
+            pytest.param([1.0, 2.0], np.eye(3), id="too-few-eigenvalues"),
+            pytest.param([1.0, 2.0, 3.0], np.eye(3, 2), id="too-few-columns"),
+            pytest.param([[1.0, 2.0]], np.eye(2), id="2d-eigenvalues"),
+        ],
+    )
+    def test_spectral_decomposition_refuses_mismatched_shapes(self, vals, vecs):
+        with pytest.raises(DimensionMismatchError):
+            SpectralDecomposition(np.array(vals), np.array(vecs, dtype=complex))
+
+    def test_ascending_check_does_not_overflow(self):
+        dec = SpectralDecomposition(np.array([-1.7e308, 1.7e308]), np.eye(2, dtype=complex))
+        assert dec.dim == 2
+
+    def test_infinite_eigenvalues_refused(self):
+        """eigh returns [-inf, inf] here: the eigenvalues +-sqrt(2) max|A| overflow."""
+        a = HermitianOperator(1.7e308 * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex))
+        with pytest.raises(EigensolverError, match="probe residual nan"):
+            hermitian_eig(a)
+
+    def test_unverifiable_residual_refused(self):
+        """Finite eigenvalues whose probe residual overflows cannot be checked."""
+        a = HermitianOperator(1.7e308 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        with pytest.raises(EigensolverError):
+            hermitian_eig(a)
+
+    @pytest.mark.parametrize(
+        "a",
+        POSTCONDITION_CASES
+        + [
+            pytest.param(random_hermitian(np.random.default_rng(100 + d), d), id=f"random-{d}")
+            for d in (2, 16, 128, 512)
+        ],
+    )
+    def test_valid_decompositions_pass_with_margin(self, a):
+        """Valid eigh output stays below 1% of either tolerance up to d = 512."""
+        dec = hermitian_eig(HermitianOperator(a))
+        vals, vecs = dec.eigenvalues, dec.eigenvectors
+        y = chirp(a.shape[0])
+        residual = np.linalg.norm(a @ (vecs @ y) - vecs @ (vals * y))
+        defect = np.linalg.norm(vecs.conj().T @ (vecs @ y) - y)
+        assert residual <= 0.01 * RESIDUAL_RTOL * max(np.max(np.abs(a)), 1.0)
+        assert defect <= 0.01 * ORTHONORMALITY_ATOL
 
 
 class TestEvolve:

@@ -37,6 +37,34 @@ def reconstruct(dec):
     return phi1, phi2
 
 
+class TestHamiltonian:
+    ANHARMONIC = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
+
+    def test_sum_is_bit_identical_and_read_only(self):
+        p = self.ANHARMONIC
+        lam = np.array([1e-3, -2.5e-4])
+        h = p.hamiltonian(lam)
+        expected = p.h0.matrix + lam[0] * p.perturbations[0].matrix
+        expected = expected + lam[1] * p.perturbations[1].matrix
+        assert isinstance(h, HermitianOperator)
+        assert np.array_equal(h.matrix, expected)
+        assert not h.matrix.flags.writeable
+        assert not np.shares_memory(h.matrix, p.h0.matrix)
+
+    @pytest.mark.parametrize(
+        "lam",
+        [
+            pytest.param([np.nan, 0.0], id="nan"),
+            pytest.param([np.inf, 0.0], id="inf"),
+            pytest.param([0.0, -np.inf], id="minus-inf"),
+            pytest.param([1e308, 1e308], id="overflowing-sum"),
+        ],
+    )
+    def test_non_finite_sum_refused(self, lam):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            self.ANHARMONIC.hamiltonian(lam)
+
+
 class TestFirstOrderCorrection:
     def test_qubit_transverse(self):
         c = first_order_correction(QUBIT1, 0)
