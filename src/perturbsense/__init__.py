@@ -26,8 +26,6 @@ from .operators import (
     HermitianOperator,
     SpectralDecomposition,
     StateVector,
-    evolve,
-    expectation,
     geometric_tensor,
     hermitian_eig,
     integrate_operator,
@@ -64,7 +62,6 @@ from .dynamic_estimation import (
     dynamic_report,
     k_operator_quadrature,
     k_operator_spectral,
-    qfi_dynamic_single,
     qfim_dynamic,
     scan_time,
 )
@@ -113,8 +110,6 @@ __all__ = [
     "bound_b",
     "build",
     "dynamic_report",
-    "evolve",
-    "expectation",
     "first_order_correction",
     "geometric_tensor",
     "hermitian_eig",
@@ -126,7 +121,6 @@ __all__ = [
     "oracle",
     "overlaps",
     "perturbed_state",
-    "qfi_dynamic_single",
     "qfi_single",
     "qfim_dynamic",
     "qfim_static",

@@ -92,22 +92,21 @@ def load_hamiltonian_file(path: str) -> PerturbationProblem:
         if field not in payload:
             raise CliValidationError(f"model file {path} lacks required field '{field}'")
     dim = payload["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise CliValidationError("'dim' must be a positive integer")
     if not isinstance(payload["perturbations"], list) or not payload["perturbations"]:
         raise CliValidationError("'perturbations' must be a nonempty list of matrices")
-    level = payload.get("level", 0)
-    if not isinstance(level, int) or not 0 <= level < dim:
-        raise CliValidationError(f"'level' must be an integer in [0, {dim})")
     try:
         h0 = HermitianOperator(_matrix_from_pairs(payload["h0"], dim, "h0"))
         perturbations = tuple(
             HermitianOperator(_matrix_from_pairs(p, dim, f"perturbations[{i}]"))
             for i, p in enumerate(payload["perturbations"])
         )
+        return PerturbationProblem(
+            h0=h0, perturbations=perturbations, level=payload.get("level", 0)
+        )
     except (ValueError, PerturbSenseError) as exc:
         raise CliValidationError(f"model file {path}: {exc}") from exc
-    return PerturbationProblem(h0=h0, perturbations=perturbations, level=level)
 
 
 def _resolve_problem(args) -> tuple[PerturbationProblem, str]:
@@ -460,8 +459,12 @@ def run(args: argparse.Namespace) -> int:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
     return EXIT_OK
 
 

@@ -19,7 +19,8 @@ time (degenerate pairs among them) would lose that difference to
 cancellation; they take the exact kernel t e^{igt/2} sinc(gt/2) instead.
 
 The full K operators (spectral closed form and Gauss-Legendre
-quadrature) remain as cross-checks of this path.
+quadrature) and :func:`qfim_dynamic` on them remain as cross-checks of
+this path.
 
 Time ordering in the interaction-picture propagator is dropped: only
 first-order terms in the couplings are retained, and the ordering
@@ -61,7 +62,6 @@ __all__ = [
     "dynamic_report",
     "k_operator_spectral",
     "k_operator_quadrature",
-    "qfi_dynamic_single",
     "qfim_dynamic",
     "scan_time",
 ]
@@ -87,7 +87,6 @@ class KOperator:
 
     op: HermitianOperator
     time: float
-    parameter_index: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,15 +129,11 @@ class TimeScan:
                 self.bound_b, self.quantumness_r)
         )
 
-    def bound_values(self) -> np.ndarray:
-        return self.bound_b
-
 
 def k_operator_spectral(
     spec: SpectralDecomposition,
     h_mu: HermitianOperator,
     t: float,
-    parameter_index: int = 0,
 ) -> KOperator:
     """K_mu(t) in closed form from the spectral data of H0.
 
@@ -158,18 +153,15 @@ def k_operator_spectral(
     k_eig = h_eig * kernel
     k = vectors @ k_eig @ vectors.conj().T
     k = 0.5 * (k + k.conj().T)
-    return KOperator(op=HermitianOperator(k), time=float(t), parameter_index=parameter_index)
+    return KOperator(op=HermitianOperator(k), time=float(t))
 
 
 def k_operator_quadrature(
-    h0: HermitianOperator,
-    h_mu: HermitianOperator,
-    t: float,
-    panels: int | None = None,
-    parameter_index: int = 0,
+    h0: HermitianOperator, h_mu: HermitianOperator, t: float
 ) -> KOperator:
     """K_mu(t) by Gauss-Legendre quadrature of U0^dag(s) H_mu U0(s).
 
+    Uses ``PANELS_PER_UNIT_TIME`` panels per unit time, at least one.
     Independent of the sinc closed form; kept as a cross-check against
     sign and convention bugs in :func:`k_operator_spectral`.
     """
@@ -178,8 +170,6 @@ def k_operator_quadrature(
         raise DimensionMismatchError(
             f"perturbation dimension {h_mu.dim} does not match H0 dimension {h0.dim}"
         )
-    if panels is None:
-        panels = max(1, math.ceil(PANELS_PER_UNIT_TIME * t))
     dec = hermitian_eig(h0)
     h = h_mu.matrix
 
@@ -187,21 +177,10 @@ def k_operator_quadrature(
         u0 = dec.propagator(s)
         return u0.conj().T @ h @ u0
 
+    panels = max(1, math.ceil(PANELS_PER_UNIT_TIME * t))
     k = integrate_operator(integrand, 0.0, t, panels)
     k = 0.5 * (k + k.conj().T)
-    return KOperator(op=HermitianOperator(k), time=float(t), parameter_index=parameter_index)
-
-
-def qfi_dynamic_single(psi0: StateVector, k: KOperator) -> float:
-    """Leading-order dynamical QFI: 4 times the variance of K(t) in the probe."""
-    if psi0.dim != k.op.dim:
-        raise DimensionMismatchError(
-            f"probe dimension {psi0.dim} does not match K dimension {k.op.dim}"
-        )
-    kv = k.op.matrix @ psi0.amplitudes
-    second_moment = float(np.real(np.vdot(kv, kv)))
-    mean = float(np.real(np.vdot(psi0.amplitudes, kv)))
-    return max(4.0 * (second_moment - mean * mean), 0.0)
+    return KOperator(op=HermitianOperator(k), time=float(t))
 
 
 def qfim_dynamic(psi0: StateVector, ks) -> EstimationReport:
@@ -209,8 +188,10 @@ def qfim_dynamic(psi0: StateVector, ks) -> EstimationReport:
 
     Q is four times the covariance matrix of the K operators in the probe
     state and D is four times the imaginary part of their cross moments:
-    the geometric tensor of the vectors K_mu|psi0>.  Singular QFIMs yield
-    bound_b = +inf and quantumness_r = None.
+    the geometric tensor of the vectors K_mu|psi0>.  For one K operator Q
+    is the single-coupling QFI 4 Var K(t).  Singular QFIMs yield
+    bound_b = +inf and quantumness_r = None.  Kept as the full-matrix
+    reference for :func:`dynamic_report` and :func:`scan_time`.
     """
     ks = list(ks)
     if len(ks) < 1:
@@ -240,8 +221,9 @@ def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray)
     dec = p.spectral
     vectors = dec.eigenvectors
     # Centring the spectrum keeps the phases e^{iEt} as accurate as the gaps;
-    # a common energy shift cancels in e^{iE_i t} M_ij e^{-iE_j t}.
-    energies = dec.eigenvalues - 0.5 * (dec.eigenvalues[0] + dec.eigenvalues[-1])
+    # a common energy shift cancels in e^{iE_i t} M_ij e^{-iE_j t}.  Each end
+    # is halved first, so the centre stays finite near the float range.
+    energies = dec.eigenvalues - (0.5 * dec.eigenvalues[0] + 0.5 * dec.eigenvalues[-1])
     gaps = energies[:, None] - energies[None, :]
     positive = grid[grid > 0.0]
     small = np.abs(gaps) * (positive[0] if positive.size else 0.0) < SMALL_PHASE

@@ -112,10 +112,6 @@ def build(spec: ModelSpec) -> PerturbationProblem:
     the oscillator perturbs the vacuum (level 0).
     """
     kind = spec.kind
-    if kind in (ModelKind.QUBIT_2PARAM, ModelKind.QUTRIT_2PARAM):
-        if spec.alpha is None:
-            raise ValueError(f"{kind.value} requires a mixing angle alpha")
-
     if kind is ModelKind.QUBIT_1PARAM:
         sx, _, sz = pauli_matrices()
         return PerturbationProblem(
@@ -123,16 +119,11 @@ def build(spec: ModelSpec) -> PerturbationProblem:
             perturbations=(HermitianOperator(sx),),
             level=1,
         )
-    if kind is ModelKind.QUBIT_2PARAM:
-        sx, sy, sz = pauli_matrices()
-        mixed = math.cos(spec.alpha) * sx + math.sin(spec.alpha) * sy
-        return PerturbationProblem(
-            h0=HermitianOperator(sz),
-            perturbations=(HermitianOperator(sx), HermitianOperator(mixed)),
-            level=1,
-        )
-    if kind is ModelKind.QUTRIT_2PARAM:
-        sx, sy, sz = spin1_matrices()
+    if kind in (ModelKind.QUBIT_2PARAM, ModelKind.QUTRIT_2PARAM):
+        if spec.alpha is None:
+            raise ValueError(f"{kind.value} requires a mixing angle alpha")
+        spin = pauli_matrices if kind is ModelKind.QUBIT_2PARAM else spin1_matrices
+        sx, sy, sz = spin()
         mixed = math.cos(spec.alpha) * sx + math.sin(spec.alpha) * sy
         return PerturbationProblem(
             h0=HermitianOperator(sz),

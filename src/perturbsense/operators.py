@@ -1,11 +1,11 @@
 """Dense complex operator primitives shared by every estimation module.
 
-Hermitian matrices with validated construction, spectral decompositions
-with deterministic eigenvector phases, exact unitary evolution through the
-spectral form, expectation values, the quantum geometric tensor of a set
-of tangent vectors, and composite Gauss-Legendre quadrature of
-matrix-valued integrands.  All values are immutable after construction
-and all operations are pure functions.
+Hermitian matrices with validated construction, state vectors, spectral
+decompositions with deterministic eigenvector phases and their
+propagators, the quantum geometric tensor of a set of tangent vectors,
+and composite Gauss-Legendre quadrature of matrix-valued integrands.
+All values are immutable after construction and all operations are pure
+functions.
 """
 
 from __future__ import annotations
@@ -30,10 +30,7 @@ __all__ = [
     "SpectralDecomposition",
     "StateVector",
     "complex_matrix",
-    "as_matrix",
     "hermitian_eig",
-    "evolve",
-    "expectation",
     "geometric_tensor",
     "integrate_operator",
 ]
@@ -123,35 +120,14 @@ class HermitianOperator:
     def dim(self) -> int:
         return self._matrix.shape[0]
 
-    def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
-        if not isinstance(other, HermitianOperator):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise DimensionMismatchError(
-                f"cannot add operators of dimension {self.dim} and {other.dim}"
-            )
-        return HermitianOperator(self._matrix + other._matrix)
-
-    def __mul__(self, scalar: float) -> "HermitianOperator":
-        return HermitianOperator(self._matrix * float(scalar))
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.dim})"
-
-
-def as_matrix(operator) -> np.ndarray:
-    """Return the ndarray behind either a HermitianOperator or array-like."""
-    if isinstance(operator, HermitianOperator):
-        return operator.matrix
-    return complex_matrix(operator)
 
 
 class StateVector:
     """Complex amplitude vector; normalized by default, raw for corrections."""
 
-    __slots__ = ("_amplitudes", "_is_normalized")
+    __slots__ = ("_amplitudes",)
 
     def __init__(self, amplitudes, normalized: bool = True):
         v = np.array(amplitudes, dtype=complex)
@@ -164,7 +140,6 @@ class StateVector:
                 f"state flagged normalized has norm {np.linalg.norm(v):.12f}"
             )
         self._amplitudes = _frozen(v)
-        self._is_normalized = bool(normalized)
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -174,29 +149,8 @@ class StateVector:
     def dim(self) -> int:
         return self._amplitudes.size
 
-    @property
-    def is_normalized(self) -> bool:
-        return self._is_normalized
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self._amplitudes))
-
-    def normalize(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self._amplitudes / n)
-
-    def inner(self, other: "StateVector") -> complex:
-        """Return the inner product <self|other>."""
-        if other.dim != self.dim:
-            raise DimensionMismatchError(
-                f"inner product of states of dimension {self.dim} and {other.dim}"
-            )
-        return complex(np.vdot(self._amplitudes, other._amplitudes))
-
     def __repr__(self) -> str:
-        return f"StateVector(dim={self.dim}, normalized={self._is_normalized})"
+        return f"StateVector(dim={self.dim})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +218,8 @@ def hermitian_eig(a: HermitianOperator) -> SpectralDecomposition:
     entrywise bound on V Lambda V^dag - A saw an eigenvalue error e only as
     e max_i |v_ik|^2.  Non-finite eigenvalues give a non-finite residual
     and fail too, as does the orthonormality check of
-    :class:`SpectralDecomposition`; both raise :class:`EigensolverError`.
+    :class:`SpectralDecomposition`; both raise :class:`EigensolverError`,
+    as does a spread E_max - E_min that overflows.
     """
     try:
         vals, vecs = np.linalg.eigh(a.matrix)
@@ -287,31 +242,15 @@ def hermitian_eig(a: HermitianOperator) -> SpectralDecomposition:
             f"{RESIDUAL_RTOL:g} * max(max|A|, 1) = {RESIDUAL_RTOL * scale:.3e}"
         )
     try:
-        return SpectralDecomposition(vals, vecs)
+        dec = SpectralDecomposition(vals, vecs)
     except ValueError as exc:
         raise EigensolverError(f"eigensolver output rejected: {exc}") from exc
-
-
-def evolve(h: HermitianOperator, t: float, psi: StateVector) -> StateVector:
-    """Return exp(-i H t)|psi> computed through the spectral decomposition."""
-    if psi.dim != h.dim:
-        raise DimensionMismatchError(
-            f"state dimension {psi.dim} does not match operator dimension {h.dim}"
+    # every gap is bounded by the spread, so a finite spread keeps them finite
+    if not math.isfinite(float(vals[-1]) - float(vals[0])):
+        raise EigensolverError(
+            f"eigenvalue spread {vals[-1]:.3e} - ({vals[0]:.3e}) overflows"
         )
-    dec = hermitian_eig(h)
-    coeffs = dec.eigenvectors.conj().T @ psi.amplitudes
-    out = dec.eigenvectors @ (np.exp(-1j * dec.eigenvalues * t) * coeffs)
-    return StateVector(out)
-
-
-def expectation(psi: StateVector, a) -> complex:
-    """Return <psi|A|psi> for a square matrix A."""
-    m = as_matrix(a)
-    if m.shape[0] != psi.dim:
-        raise DimensionMismatchError(
-            f"operator dimension {m.shape[0]} does not match state dimension {psi.dim}"
-        )
-    return complex(np.vdot(psi.amplitudes, m @ psi.amplitudes))
+    return dec
 
 
 def geometric_tensor(psi: np.ndarray, tangents: np.ndarray) -> np.ndarray:

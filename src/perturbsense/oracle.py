@@ -50,7 +50,6 @@ def _solve(p: PerturbationProblem, lam) -> tuple[np.ndarray, np.ndarray]:
 def exact_eigenstate(
     p: PerturbationProblem,
     lambdas,
-    path_steps: int = PATH_STEPS,
     on_solve: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> StateVector:
     """Exact eigenvector of ``p.hamiltonian(lambdas)`` at the tracked level ``p.level``.
@@ -60,15 +59,13 @@ def exact_eigenstate(
     lambda is accepted when some eigenvector holds at least
     ``DIRECT_OVERLAP_MIN`` of it, since then no other can hold more than
     ``1 - DIRECT_OVERLAP_MIN``.  Otherwise the level is tracked by overlap
-    continuity along a straight path of ``path_steps`` solves from
+    continuity along a straight path of ``PATH_STEPS`` solves from
     lambda = 0, the last of which is that same solve.  The phase is fixed
     by a positive overlap with the unperturbed eigenvector.
 
     ``on_solve``, if given, receives the eigenvalues and eigenvectors of
     that solve at lambda, so a caller can reuse it without a second one.
     """
-    if path_steps < 1:
-        raise ValueError(f"path_steps must be at least 1, got {path_steps}")
     lam = np.asarray(lambdas, dtype=float)
     v0 = p.spectral.eigenvectors[:, p.level]
     vals, end = _solve(p, lam)
@@ -80,17 +77,17 @@ def exact_eigenstate(
         v_prev = end[:, idx]
     else:
         v_prev = v0
-        for step in range(1, path_steps + 1):
-            if step == path_steps:
+        for step in range(1, PATH_STEPS + 1):
+            if step == PATH_STEPS:
                 vecs = end
             else:
-                _, vecs = _solve(p, lam * (step / path_steps))
+                _, vecs = _solve(p, lam * (step / PATH_STEPS))
             projections = np.abs(vecs.conj().T @ v_prev)
             idx = int(np.argmax(projections))
             if projections[idx] ** 2 < 0.5:
                 raise LevelTrackingError(
-                    f"eigenlevel continuity lost at path step {step}/{path_steps} "
-                    f"(best overlap {projections[idx]:.3f}); increase path_steps"
+                    f"eigenlevel continuity lost at path step {step}/{PATH_STEPS} "
+                    f"(best overlap {projections[idx]:.3f})"
                 )
             v_prev = vecs[:, idx]
     overlap = complex(np.vdot(v0, v_prev))
@@ -119,29 +116,20 @@ def fidelity_qfi(
     family: Callable[[float], StateVector],
     lam: float,
     eps: float,
-    richardson: bool = False,
 ) -> float:
     """QFI from the fidelity quotient 4 [1 - |<psi_-|psi_+>|^2] / eps^2.
 
     The samples sit at lam -/+ eps/2, so their separation is eps and the
     pure-state expansion |<psi|psi'>|^2 = 1 - Q eps^2 / 4 + O(eps^3)
-    fixes the prefactor.  With ``richardson`` the eps and eps/2 quotients
-    are extrapolated (the truncation error is quadratic in the step).
+    fixes the prefactor.
     """
     _check_step(eps)
-
-    def quotient(step: float) -> float:
-        lo = family(lam - step / 2.0).amplitudes
-        hi = family(lam + step / 2.0).amplitudes
-        fidelity = abs(np.vdot(lo, hi)) ** 2
-        if not math.isfinite(fidelity):
-            raise FiniteDifferenceError("non-finite overlap in fidelity quotient")
-        return 4.0 * (1.0 - fidelity) / step**2
-
-    q = quotient(eps)
-    if richardson:
-        return (4.0 * quotient(eps / 2.0) - q) / 3.0
-    return q
+    lo = family(lam - eps / 2.0).amplitudes
+    hi = family(lam + eps / 2.0).amplitudes
+    fidelity = abs(np.vdot(lo, hi)) ** 2
+    if not math.isfinite(fidelity):
+        raise FiniteDifferenceError("non-finite overlap in fidelity quotient")
+    return 4.0 * (1.0 - fidelity) / eps**2
 
 
 def _derivative_moments(

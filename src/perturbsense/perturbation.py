@@ -79,6 +79,9 @@ class PerturbationProblem:
                 raise DimensionMismatchError(
                     f"perturbation {mu} has dimension {h.dim}, expected {dim}"
                 )
+        # a bool passes as an int but would index numpy arrays as a mask
+        if isinstance(self.level, bool) or not isinstance(self.level, (int, np.integer)):
+            raise ValueError(f"level must be an integer, got {self.level!r}")
         if not 0 <= self.level < dim:
             raise ValueError(f"level {self.level} outside [0, {dim})")
 

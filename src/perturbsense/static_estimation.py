@@ -143,7 +143,6 @@ class EstimationReport:
     uhlmann: UhlmannMatrix
     bound_b: float
     quantumness_r: float | None
-    slds: tuple[HermitianOperator, ...] | None = None
 
     @property
     def singular(self) -> bool:
@@ -345,18 +344,17 @@ def assemble(qfim: np.ndarray, uhlmann: np.ndarray):
     return eig, _bound(eig, regular), _quantumness(qfim, uhlmann, eig, regular)
 
 
-def _report_at(qfim, uhlmann, spectrum, b, r, slds=None) -> EstimationReport:
+def _report_at(qfim, uhlmann, spectrum, b, r) -> EstimationReport:
     """The report of one point of :func:`assemble`'s validated output."""
     return EstimationReport(
         qfim=_frozen(QfiMatrix, entries=qfim, spectrum=spectrum),
         uhlmann=_frozen(UhlmannMatrix, entries=uhlmann),
         bound_b=float(b),
         quantumness_r=None if math.isnan(r) else float(r),
-        slds=slds,
     )
 
 
-def make_report(tensor: np.ndarray, slds=None) -> EstimationReport:
+def make_report(tensor: np.ndarray) -> EstimationReport:
     """QFIM, Uhlmann curvature, B and R from one P x P geometric tensor.
 
     ``tensor`` is the output of :func:`~perturbsense.operators.geometric_tensor`
@@ -370,10 +368,9 @@ def make_report(tensor: np.ndarray, slds=None) -> EstimationReport:
     spectrum, b, r = assemble(q, d)
     for a in (q, d, spectrum):
         a.setflags(write=False)
-    return _report_at(q, d, spectrum, b, r, slds=slds)
+    return _report_at(q, d, spectrum, b, r)
 
 
-def static_report(corrections, include_slds: bool = False) -> EstimationReport:
+def static_report(corrections) -> EstimationReport:
     """Bundle QFIM, Uhlmann curvature, B and R for a set of corrections."""
-    slds = tuple(sld_single(c) for c in corrections) if include_slds else None
-    return make_report(_correction_tensor(corrections), slds=slds)
+    return make_report(_correction_tensor(corrections))

@@ -19,13 +19,11 @@ from perturbsense import (
     StateVector,
     bound_b,
     dynamic_report,
-    expectation,
     first_order_correction,
     k_operator_quadrature,
     k_operator_spectral,
     hermitian_eig,
     HermitianOperator,
-    qfi_dynamic_single,
     qfi_single,
     qfim_dynamic,
     qfim_static,
@@ -106,33 +104,27 @@ def test_criterion_4_anharmonic_static():
 def test_criterion_5_dynamic_qubit():
     with criterion("criterion 5 (dynamic qubit QFI)"):
         problem = models.build(ModelSpec(ModelKind.QUBIT_1PARAM))
-        h1 = problem.perturbations[0]
         worst = 0.0
         for t in np.linspace(0.0, np.pi, 10):
-            k = k_operator_spectral(problem.spectral, h1, t)
             for theta in np.linspace(0.0, np.pi, 10):
                 for phi in np.linspace(0.0, 2 * np.pi, 10):
-                    engine = qfi_dynamic_single(models.qubit_probe(theta, phi), k)
+                    probe = models.qubit_probe(theta, phi)
+                    engine = dynamic_report(problem, probe, t).qfim.entries[0, 0]
                     reference = models.reference_qubit_dynamic_qfi(t, theta, phi)
                     worst = max(worst, abs(engine - reference))
         assert worst <= 1e-9
 
         probe = models.qubit_probe(0.0, 0.0)
 
-        def negated_qfi(t):
-            return -qfi_dynamic_single(
-                probe, k_operator_spectral(problem.spectral, h1, t)
-            )
+        def qfi(t):
+            return dynamic_report(problem, probe, t).qfim.entries[0, 0]
 
-        peak = qfi_dynamic_single(
-            probe, k_operator_spectral(problem.spectral, h1, np.pi / 2)
-        )
-        assert abs(peak - 4.0) <= 1e-9
+        assert abs(qfi(np.pi / 2) - 4.0) <= 1e-9
         fine = np.linspace(0.0, np.pi, 2001)
-        values = [-negated_qfi(t) for t in fine]
+        values = scan_time(problem, probe, fine).qfim[:, 0, 0]
         assert max(values) <= 4.0 + 1e-9
         best = minimize_scalar(
-            negated_qfi, bounds=(1.0, 2.0), method="bounded",
+            lambda t: -qfi(t), bounds=(1.0, 2.0), method="bounded",
             options={"xatol": 1e-12},
         )
         assert abs(best.x - np.pi / 2) <= 1e-6
@@ -156,18 +148,26 @@ def test_criterion_7_dynamic_anharmonic():
     with criterion("criterion 7 (dynamic anharmonic closed forms)"):
         problem = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
         vacuum = models.vacuum_state(16)
-        for t in np.linspace(2 * np.pi / 40, 2 * np.pi, 40):
+        grid = np.linspace(2 * np.pi / 40, 2 * np.pi, 40)
+        for t in grid:
             ks = [
-                k_operator_spectral(problem.spectral, h, t, parameter_index=mu)
-                for mu, h in enumerate(problem.perturbations)
+                k_operator_spectral(problem.spectral, h, t)
+                for h in problem.perturbations
             ]
             report = qfim_dynamic(vacuum, ks)
             q11, q22, q12 = models.reference_anharmonic_dynamic(t)
             assert abs(report.qfim.entries[0, 0] - q11) <= 1e-8
             assert abs(report.qfim.entries[1, 1] - q22) <= 1e-8
             assert abs(report.qfim.entries[0, 1] - q12) <= 1e-8
-            assert abs(expectation(vacuum, ks[0].op)) <= 1e-10
-            assert abs(expectation(vacuum, ks[1].op) - 0.75 * t) <= 1e-10
+            means = [np.vdot(vacuum.amplitudes, k.op.matrix @ vacuum.amplitudes) for k in ks]
+            assert abs(means[0]) <= 1e-10
+            assert abs(means[1] - 0.75 * t) <= 1e-10
+        scan = scan_time(problem, vacuum, grid)
+        for t, q in zip(grid, scan.qfim):
+            q11, q22, q12 = models.reference_anharmonic_dynamic(t)
+            assert abs(q[0, 0] - q11) <= 1e-8
+            assert abs(q[1, 1] - q22) <= 1e-8
+            assert abs(q[0, 1] - q12) <= 1e-8
 
 
 def test_criterion_8_bound_curve_reproduction():
@@ -182,7 +182,7 @@ def test_criterion_8_bound_curve_reproduction():
         def gap(t):
             return dynamic_report(problem, vacuum, t).bound_b - b_static
 
-        bounds = scan.bound_values()
+        bounds = scan.bound_b
         signs = np.sign(bounds - b_static)
         flips = np.nonzero(np.diff(signs) != 0)[0]
         assert flips.size == 2

@@ -248,10 +248,23 @@ class TestHamiltonianFile:
 
     def test_malformed_file_is_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
-        for text in ("{not json", "5", "null", "true", "[]"):
+        texts = ["{not json", "5", "null", "true", "[]"]
+        # JSON booleans pass isinstance(x, int); a bool level would reach
+        # numpy as a mask, and "dim": true would read as 1
+        for level in (True, False, 1.0, "1"):
+            self.write_qubit_file(bad, level=level)
+            texts.append(bad.read_text())
+        texts.append(json.dumps({"dim": True, "h0": [[[1, 0]]], "perturbations": [[[[1, 0]]]]}))
+        commands = (
+            ["static"], ["dynamic", "--time", "1"],
+            ["scan", "--t-min", "0", "--t-max", "1", "--t-steps", "3"],
+        )
+        for text in texts:
             bad.write_text(text)
-            code, _, err = run_cli(capsys, "static", "--model", str(bad))
-            assert code == 2, text
+            for command in commands:
+                code, _, err = run_cli(capsys, *command, "--model", str(bad))
+                assert code == 2, (text, command)
+                assert err.startswith("error:"), (text, command)
 
     def test_non_hermitian_file_rejected(self, capsys, tmp_path):
         pairs = lambda m: [[[z.real, z.imag] for z in row] for row in np.asarray(m, complex)]
@@ -304,6 +317,36 @@ class TestHamiltonianFile:
         assert stdout == ""
         payload = json.loads(out_path.read_text())
         assert payload["bound_b"] == pytest.approx(1.0)
+
+    def test_unwritable_output_is_validation_error(self, capsys, tmp_path):
+        for out_path in (tmp_path / "missing" / "result.json", tmp_path):
+            code, stdout, err = run_cli(capsys, "static", "--model", "qubit", "--out", str(out_path))
+            assert code == 2
+            assert stdout == ""
+            assert err.startswith(f"error: cannot write {out_path}: ")
+
+    @pytest.mark.parametrize(
+        "diagonal, expected",
+        [((1.7e308, -1.7e308), 3), ((1e308, 0.9e308), 0)],
+        ids=["spread-overflows", "centre-overflows"],
+    )
+    def test_huge_finite_spectrum(self, capsys, tmp_path, diagonal, expected):
+        """Finite eigenvalues near the float range: a typed exit, no RuntimeWarning."""
+        pairs = lambda m: [[[z.real, z.imag] for z in row] for row in np.asarray(m, complex)]
+        payload = {"dim": 2, "h0": pairs(np.diag(diagonal)), "perturbations": [pairs([[0, 1], [1, 0]])]}
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(payload))
+        commands = (
+            ["static"], ["dynamic", "--time", "1.3"],
+            ["scan", "--t-min", "0", "--t-max", "2", "--t-steps", "5"],
+            ["oracle-check", "--lambda", "1e-3"],
+            ["oracle-check", "--lambda", "1e-3", "--time", "1.3"],
+        )
+        for command in commands:
+            code, out, err = run_cli(capsys, *command, "--model", str(huge))
+            assert code == expected, (command, err)
+            if expected == 3:
+                assert err.startswith("numerical error: eigenvalue spread")
 
 
 class TestOracleCheckCommand:
@@ -404,6 +447,21 @@ class TestReadmeExamples:
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert out
+
+
+def test_every_export_resolves():
+    """Each name in the package's and every module's ``__all__`` exists."""
+    import importlib
+    import pkgutil
+
+    import perturbsense
+
+    modules = [perturbsense] + [
+        importlib.import_module(f"perturbsense.{info.name}")
+        for info in pkgutil.iter_modules(perturbsense.__path__)
+    ]
+    missing = [f"{m.__name__}.{name}" for m in modules for name in m.__all__ if not hasattr(m, name)]
+    assert missing == []
 
 
 class TestEntryPoint:

@@ -96,7 +96,7 @@ class TestExactEigenstate:
         state = oracle.exact_eigenstate(problem, [1.5])
         assert np.allclose(state.amplitudes, [1.0, 0.0], atol=1e-12)
 
-    def test_ambiguous_tracking_raises(self):
+    def test_ambiguous_tracking_raises(self, monkeypatch):
         # one coarse step lands on eigenvectors that all share less than
         # half their weight with the tracked one
         fourier = np.exp(
@@ -107,14 +107,9 @@ class TestExactEigenstate:
         problem = PerturbationProblem(
             h0=h0, perturbations=(HermitianOperator(scrambler),), level=0
         )
+        monkeypatch.setattr(oracle, "PATH_STEPS", 1)
         with pytest.raises(LevelTrackingError):
-            oracle.exact_eigenstate(problem, [100.0], path_steps=1)
-
-    @pytest.mark.parametrize("path_steps", [0, -1])
-    def test_path_steps_below_one_rejected(self, path_steps):
-        # zero steps used to return the unperturbed vector unchanged
-        with pytest.raises(ValueError, match="path_steps"):
-            oracle.exact_eigenstate(QUBIT1, [0.3], path_steps=path_steps)
+            oracle.exact_eigenstate(problem, [100.0])
 
 
 class TestDirectStep:
@@ -288,11 +283,6 @@ class TestFidelityQfi:
         q_fine = oracle.fidelity_qfi(lambda l: family(np.array([l])), 1e-3, 5e-5)
         assert abs(q_coarse - q_fine) <= 1e-3 * abs(q_fine)
 
-    def test_richardson_available(self):
-        family = oracle.exact_eigenstate_family(QUBIT1)
-        q = oracle.fidelity_qfi(lambda l: family(np.array([l])), 1e-3, 1e-4, richardson=True)
-        assert q == pytest.approx(1.0, rel=0.01)
-
     def test_evolved_qubit_peak(self):
         family = oracle.exact_evolved_family(
             QUBIT1, models.qubit_probe(0.0, 0.0), np.pi / 2
@@ -385,8 +375,7 @@ class TestFdQfim:
         lam = np.full(problem.num_parameters, 1e-3)
         q_fd, d_fd = oracle.fd_qfim(oracle.exact_evolved_family(problem, probe, t), lam)
         ks = [
-            k_operator_spectral(problem.spectral, h, t, parameter_index=mu)
-            for mu, h in enumerate(problem.perturbations)
+            k_operator_spectral(problem.spectral, h, t) for h in problem.perturbations
         ]
         report = qfim_dynamic(probe, ks)
         tolerance = max(0.01, 50.0 * float(np.linalg.norm(lam)))
@@ -438,6 +427,43 @@ class TestExactEvolvedFamily:
         family = oracle.exact_evolved_family(QUBIT1, probe, 0.0)
         for lam in ([0.0], [0.3], [-0.2]):
             assert np.max(np.abs(family(np.array(lam)).amplitudes - probe.amplitudes)) <= 1e-12
+
+    @staticmethod
+    def free(h0, t, psi):
+        """exp(-i H0 t)|psi>: the evolved family of a one-coupling problem at lambda = 0."""
+        problem = PerturbationProblem(
+            h0=h0, perturbations=(HermitianOperator(np.zeros((h0.dim, h0.dim))),), level=0
+        )
+        return oracle.exact_evolved_family(problem, psi, t)(np.zeros(1))
+
+    def test_eigenstate_acquires_phase(self):
+        out = self.free(QUBIT1.h0, 0.7, StateVector([1.0, 0.0]))
+        assert np.allclose(out.amplitudes, [np.exp(-0.7j), 0.0])
+
+    def test_populations_preserved_for_plus_state(self):
+        plus = StateVector([1.0, 1.0] / np.sqrt(2.0))
+        out = self.free(QUBIT1.h0, np.pi, plus)
+        assert abs(out.amplitudes[0]) ** 2 == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unitarity_random(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = rng.integers(2, 12)
+        h = HermitianOperator(random_hermitian(rng, dim))
+        psi = StateVector(random_state(rng, dim))
+        t = rng.uniform(0.0, 8.0)
+        assert np.linalg.norm(self.free(h, t, psi).amplitudes) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_group_law(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        dim = rng.integers(2, 10)
+        h = HermitianOperator(random_hermitian(rng, dim))
+        psi = StateVector(random_state(rng, dim))
+        t1, t2 = rng.uniform(0.0, 3.0, size=2)
+        direct = self.free(h, t1 + t2, psi).amplitudes
+        nested = self.free(h, t2, self.free(h, t1, psi)).amplitudes
+        assert np.max(np.abs(direct - nested)) <= 1e-9
 
     def test_wrong_probe_dimension_rejected_at_construction(self):
         with pytest.raises(DimensionMismatchError):

@@ -51,6 +51,24 @@ class TestHamiltonian:
         assert not h.matrix.flags.writeable
         assert not np.shares_memory(h.matrix, p.h0.matrix)
 
+    def test_add_and_scale(self):
+        sz = np.diag([1.0, -1.0])
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(QUBIT1.hamiltonian([0.5]).matrix, sz + 0.5 * sx)
+
+    @pytest.mark.parametrize(
+        "p, lam",
+        [
+            pytest.param(QUBIT1, 0.5, id="scalar"),
+            pytest.param(ANHARMONIC, [1e-3], id="too-short"),
+            pytest.param(ANHARMONIC, [1e-3, 0.0, 0.0], id="too-long"),
+            pytest.param(ANHARMONIC, [[1e-3, 0.0]], id="two-dimensional"),
+        ],
+    )
+    def test_wrong_coupling_count_refused(self, p, lam):
+        with pytest.raises(ValueError, match="couplings"):
+            p.hamiltonian(lam)
+
     @pytest.mark.parametrize(
         "lam",
         [
@@ -122,7 +140,7 @@ class TestFirstOrderCorrection:
         c = first_order_correction(problem, 0)
         overlap = np.vdot(c.reference.amplitudes, c.raw.amplitudes)
         assert abs(overlap) <= 1e-10
-        assert c.squared_norm == pytest.approx(c.raw.norm() ** 2, abs=1e-12)
+        assert c.squared_norm == pytest.approx(np.linalg.norm(c.raw.amplitudes) ** 2, abs=1e-12)
 
 
 class TestOverlaps:
@@ -256,7 +274,7 @@ class TestAngleDecomposition:
         for angle in (dec.theta1, dec.theta2, dec.gamma, dec.varphi):
             assert 0.0 <= angle < 2 * np.pi
         # basis orthonormality
-        assert abs(dec.basis_j.inner(dec.basis_k)) <= 1e-12
+        assert abs(np.vdot(dec.basis_j.amplitudes, dec.basis_k.amplitudes)) <= 1e-12
 
 
 class TestPerturbedState:

@@ -323,11 +323,10 @@ class TestStaticReport:
 
     def test_bundles_fields(self):
         problem = models.build(ModelSpec(ModelKind.QUTRIT_2PARAM, alpha=np.pi / 2))
-        report = static_report(corrections_for(problem), include_slds=True)
+        report = static_report(corrections_for(problem))
         assert report.bound_b == pytest.approx(0.5)
         assert report.quantumness_r == pytest.approx(0.0, abs=1e-10)
         assert not report.singular
-        assert len(report.slds) == 2
 
     def test_singular_report(self):
         problem = models.build(ModelSpec(ModelKind.QUTRIT_2PARAM, alpha=0.0))
