@@ -69,11 +69,20 @@ def _pairs(matrix: np.ndarray) -> list:
 
 
 def _matrix_from_pairs(obj, dim: int, what: str) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
+    arr = np.array(obj, dtype=object)
     if arr.shape != (dim, dim, 2):
         raise CliValidationError(
             f"{what} must be a {dim}x{dim} array of [re, im] pairs, got shape {arr.shape}"
         )
+    # exact types: JSON true passes isinstance(x, int), and the float
+    # conversion would read true and "1" as 1.0 and null as nan
+    for x in arr.flat:
+        if type(x) not in (int, float):
+            raise CliValidationError(f"{what} holds {json.dumps(x)}, which is not a number")
+    try:
+        arr = arr.astype(float)
+    except OverflowError as exc:
+        raise CliValidationError(f"{what} holds an integer too large for a float") from exc
     return arr[..., 0] + 1j * arr[..., 1]
 
 

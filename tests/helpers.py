@@ -25,16 +25,31 @@ def phase_align(v: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
 
 def count_eigh(monkeypatch) -> list:
-    """Record the shape of every ``np.linalg.eigh`` call from now on."""
+    """Record the (shape, dtype) of every ``np.linalg.eigh`` call from now on."""
     calls = []
     eigh = np.linalg.eigh
 
     def counting_eigh(*args, **kwargs):
-        calls.append(args[0].shape)
+        calls.append((args[0].shape, args[0].dtype))
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     return calls
+
+
+def force_complex_eigh(monkeypatch) -> None:
+    """Make the package solve every matrix in complex arithmetic, real or not.
+
+    Both holders of ``operators.eigh`` are patched; the replacement still
+    reaches ``np.linalg.eigh`` at call time, so ``count_eigh`` sees it.
+    """
+    from perturbsense import operators, oracle
+
+    def complex_eigh(m):
+        return np.linalg.eigh(m)
+
+    monkeypatch.setattr(operators, "eigh", complex_eigh)
+    monkeypatch.setattr(oracle, "eigh", complex_eigh)
 
 
 def count_eigvalsh(monkeypatch) -> list:

@@ -14,7 +14,7 @@ import pytest
 
 from perturbsense.cli import main
 
-from helpers import count_eigh
+from helpers import count_eigh, force_complex_eigh
 
 B_STATIC_ANHARMONIC = 466.0 / 1131.0
 
@@ -266,6 +266,23 @@ class TestHamiltonianFile:
                 assert code == 2, (text, command)
                 assert err.startswith("error:"), (text, command)
 
+    @pytest.mark.parametrize(
+        "leaf", [True, "1", None, 10**400], ids=["bool", "numeric-string", "null", "huge-int"]
+    )
+    def test_non_numeric_entry_is_validation_error(self, capsys, tmp_path, leaf):
+        """Each leaf must be a JSON number: true, "1" and null are not read as 1, 1 and nan."""
+        payload = {
+            "dim": 2,
+            "h0": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+            "perturbations": [[[[0, 0], [leaf, 0]], [[1, 0], [0, 0]]]],
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "static", "--model", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: perturbations[0] holds ")
+
     def test_non_hermitian_file_rejected(self, capsys, tmp_path):
         pairs = lambda m: [[[z.real, z.imag] for z in row] for row in np.asarray(m, complex)]
         payload = {
@@ -422,6 +439,103 @@ class TestOracleCheckCommand:
         )
         assert code == 0, err
         assert len(calls) == expected
+        # the anharmonic H0 and every H(lambda) are real, so none takes the complex path
+        assert {dtype for _, dtype in calls} == {np.dtype(np.float64)}
+
+
+def write_real_model(path, h0, couplings) -> str:
+    """A JSON model file with real matrices; returns its path as a string."""
+    pairs = lambda m: [[[float(x), 0.0] for x in row] for row in m]
+    payload = {"dim": len(h0), "h0": pairs(h0), "perturbations": [pairs(c) for c in couplings]}
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def real_couplings(rng: np.random.Generator, dim: int) -> list:
+    return [0.5 * (m + m.T) for m in rng.normal(size=(2, dim, dim))]
+
+
+def json_run(capsys, *argv) -> dict:
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    return json.loads(out)
+
+
+class TestRealArithmetic:
+    """Real Hamiltonians are solved in real arithmetic; what that moves and what it does not."""
+
+    PRESET_ARGS = (
+        ["--model", "qubit"],
+        ["--model", "qubit2", "--alpha", "0.7"],
+        ["--model", "qutrit", "--alpha", "1.2"],
+        ["--model", "anharmonic"],
+    )
+    COMMANDS = (
+        ["static"],
+        ["dynamic", "--time", "1.3"],
+        ["scan", "--t-min", "0.05", "--t-max", "10", "--t-steps", "25"],
+    )
+
+    def test_preset_output_byte_identical_to_the_complex_solve(self, capsys, monkeypatch):
+        runs = [
+            command + preset + ["--output-format", fmt]
+            for preset in self.PRESET_ARGS
+            for command in self.COMMANDS
+            for fmt in ("csv", "json")
+        ]
+
+        def outputs():
+            calls = count_eigh(monkeypatch)
+            texts = []
+            for argv in runs:
+                code, out, err = run_cli(capsys, *argv)
+                assert code == 0, (argv, err)
+                texts.append(out)
+            return texts, {dtype for _, dtype in calls}
+
+        real, real_dtypes = outputs()
+        force_complex_eigh(monkeypatch)
+        forced, forced_dtypes = outputs()
+        assert real_dtypes == {np.dtype(np.float64)}
+        assert forced_dtypes == {np.dtype(np.complex128)}
+        for argv, a, b in zip(runs, real, forced):
+            assert a == b, argv
+
+    @pytest.mark.parametrize("model", ["anharmonic-16", "anharmonic-128", "file"])
+    def test_oracle_check_moves_only_oracle_digits(self, capsys, monkeypatch, tmp_path, model):
+        """With a diagonal H0 the engine columns keep their bits; the oracle's
+        samples H(lambda) are real and dense, so its columns move at ~1e-10."""
+        if model == "file":
+            rng = np.random.default_rng(11)
+            h0 = np.diag([0.0, 0.7, 1.9, 3.1, 4.6, 6.0])
+            args = ["--model", write_real_model(tmp_path / "m.json", h0, real_couplings(rng, 6))]
+        else:
+            args = ["--model", "anharmonic", "--fock-dim", model.split("-")[1]]
+        argv = ["oracle-check", *args, "--lambda", "1e-3", "-1e-3", "--time", "1.3"]
+        real = json_run(capsys, *argv)["checks"]
+        force_complex_eigh(monkeypatch)
+        forced = json_run(capsys, *argv)["checks"]
+        assert [c["name"] for c in real] == [c["name"] for c in forced]
+        for a, b in zip(real, forced):
+            assert a["engine"] == b["engine"], a["name"]
+            for column in ("oracle", "rel_error"):
+                assert abs(a[column] - b[column]) <= 1e-9 * abs(b[column]), (a["name"], column)
+
+    def test_non_diagonal_h0_moves_the_engine_at_rounding_level(self, capsys, monkeypatch, tmp_path):
+        """A dense real H0 is itself solved by the real solver, so the engine
+        moves too, by a few ulp; the oracle by ~1e-11 of max(|value|, 1)."""
+        rng = np.random.default_rng(7)
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        h0 = (q * np.arange(6.0)) @ q.T
+        model = write_real_model(tmp_path / "m.json", 0.5 * (h0 + h0.T), real_couplings(rng, 6))
+        argv = ["oracle-check", "--model", model, "--lambda", "1e-3", "-1e-3", "--time", "1.3"]
+        real = json_run(capsys, *argv)["checks"]
+        force_complex_eigh(monkeypatch)
+        forced = json_run(capsys, *argv)["checks"]
+        for a, b in zip(real, forced):
+            for column, rtol in (("engine", 1e-13), ("oracle", 1e-9)):
+                scale = max(abs(b[column]), 1.0)
+                assert abs(a[column] - b[column]) <= rtol * scale, (a["name"], column)
 
 
 def readme_cli_commands():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,11 @@ from perturbsense import (
     hermitian_eig,
     integrate_operator,
 )
-from perturbsense import models
+from perturbsense import models, operators
 from perturbsense.models import ModelKind, ModelSpec, pauli_matrices, spin1_matrices
 from perturbsense.operators import ORTHONORMALITY_ATOL, RESIDUAL_RTOL
 
-from helpers import random_hermitian, random_state
+from helpers import count_eigh, force_complex_eigh, random_hermitian, random_state
 
 SX, SY, SZ = pauli_matrices()
 
@@ -97,6 +99,97 @@ class TestHermitianEig:
         assert np.max(np.abs(rebuilt - a)) <= 1e-10 * max(np.max(np.abs(a)), 1.0)
         gram = dec.eigenvectors.conj().T @ dec.eigenvectors
         assert np.max(np.abs(gram - np.eye(dim))) <= 1e-10
+
+
+def random_real_symmetric(rng: np.random.Generator, dim: int) -> np.ndarray:
+    m = rng.normal(size=(dim, dim))
+    return (0.5 * (m + m.T)).astype(complex)
+
+
+def _real_solve_cases():
+    """Real matrices the package solves: each preset's H0, the oracle's samples
+    H(lambda) of the real presets, and seeded random real-symmetric matrices."""
+    cases = []
+    for spec in (
+        ModelSpec(ModelKind.QUBIT_1PARAM),
+        ModelSpec(ModelKind.QUBIT_2PARAM, alpha=0.7),
+        ModelSpec(ModelKind.QUTRIT_2PARAM, alpha=0.7),
+        ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16),
+    ):
+        cases.append(pytest.param(models.build(spec).h0.matrix, id=f"{spec.kind.value}-h0"))
+    for spec, lam in (
+        (ModelSpec(ModelKind.QUBIT_1PARAM), [1e-3]),
+        (ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16), [1e-3, -1e-3]),
+        (ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=128), [1e-3, -1e-3]),
+    ):
+        h = models.build(spec).hamiltonian(lam).matrix
+        cases.append(pytest.param(h, id=f"{spec.kind.value}-{h.shape[0]}-sample"))
+    for dim in (3, 8, 33, 128, 256):
+        a = random_real_symmetric(np.random.default_rng(dim), dim)
+        cases.append(pytest.param(a, id=f"random-real-{dim}"))
+    return cases
+
+
+class TestRealPath:
+    """A matrix with no nonzero imaginary part is solved in real arithmetic."""
+
+    @pytest.mark.parametrize("a", _real_solve_cases())
+    def test_real_matrix_reaches_eigh_as_float64(self, monkeypatch, a):
+        calls = count_eigh(monkeypatch)
+        dec = hermitian_eig(HermitianOperator(a))
+        assert calls == [(a.shape, np.float64)]
+        assert dec.eigenvectors.dtype == np.complex128
+
+    @pytest.mark.parametrize("tiny", [1e-300, 5e-324])
+    def test_one_imaginary_entry_takes_the_complex_path(self, monkeypatch, tiny):
+        a = random_real_symmetric(np.random.default_rng(4), 4)
+        a[0, 2] += 1j * tiny
+        a[2, 0] -= 1j * tiny
+        calls = count_eigh(monkeypatch)
+        hermitian_eig(HermitianOperator(a))
+        operators.eigh(a)
+        assert calls == [((4, 4), np.complex128)] * 2
+
+    def test_signed_zero_imaginary_parts_count_as_real(self, monkeypatch):
+        a = random_real_symmetric(np.random.default_rng(5), 5)
+        a.imag[np.triu_indices(5)] = -0.0
+        assert np.signbit(a.imag).any()
+        calls = count_eigh(monkeypatch)
+        hermitian_eig(HermitianOperator(a))
+        assert calls == [((5, 5), np.float64)]
+
+    @pytest.mark.parametrize("a", _real_solve_cases())
+    def test_agrees_with_the_complex_solve(self, monkeypatch, a):
+        """Same eigenvalues to 1e-13 of max(max|A|, 1), same columns to 1e-12
+        once both carry the fixed phase convention."""
+        op = HermitianOperator(a)
+        real = hermitian_eig(op)
+        force_complex_eigh(monkeypatch)
+        calls = count_eigh(monkeypatch)
+        ref = hermitian_eig(op)
+        assert calls == [(a.shape, np.complex128)]
+        scale = max(np.max(np.abs(a)), 1.0)
+        assert np.max(np.abs(real.eigenvalues - ref.eigenvalues)) <= 1e-13 * scale
+        assert np.max(np.abs(real.eigenvectors - ref.eigenvectors)) <= 1e-12
+
+    def test_linalg_error_on_the_real_path_is_typed(self, monkeypatch):
+        """A failed real solve raises EigensolverError with max|A|, both for a
+        checked operator and for a sum H(lambda), whose max|A| is computed then."""
+        eigh = np.linalg.eigh
+
+        def failing_real_eigh(m):
+            if m.dtype == np.float64:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_real_eigh)
+        p = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
+        for op in (p.h0, p.hamiltonian([0.25, 0.0])):
+            scale = np.max(np.abs(op.matrix))
+            with pytest.raises(EigensolverError, match=re.escape(f"max|A|={scale:.3e})")):
+                hermitian_eig(op)
+        qubit2 = models.build(ModelSpec(ModelKind.QUBIT_2PARAM, alpha=0.7))
+        hermitian_eig(qubit2.hamiltonian([0.0, 0.1]))  # complex: not refused
 
 
 def _postcondition_cases():
