@@ -64,6 +64,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _json(payload: dict) -> str:
+    """Strict JSON (RFC 8259): a non-finite number raises instead of printing Infinity."""
+    return json.dumps(payload, indent=2, allow_nan=False)
+
+
+def _json_number(x: float | None) -> float | None:
+    """``x``, or None (JSON null) where it is missing, infinite or nan."""
+    return x if x is not None and math.isfinite(x) else None
+
+
 def _pairs(matrix: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
 
@@ -157,8 +167,8 @@ def _report_fields(q, d, b, r) -> dict:
     return {
         "qfim": q.tolist(),
         "uhlmann": d.tolist(),
-        "bound_b": float(b),
-        "quantumness_r": None if math.isnan(r) else float(r),
+        "bound_b": _json_number(b),
+        "quantumness_r": _json_number(r),
     }
 
 
@@ -168,11 +178,20 @@ def _flat_header(p: int) -> list[str]:
     return cols + ["B", "R"]
 
 
-def _flat_row(q, d, b, r) -> list[str]:
-    p = q.shape[0]
-    values = [q[i, j] for i in range(p) for j in range(i, p)]
-    values += [d[i, j] for i in range(p) for j in range(i + 1, p)]
-    return [_fmt(v) for v in (*values, b, r)]
+def _flat_rows(q, d, b, r) -> list[str]:
+    """Q (upper triangle), D (strict upper triangle), B and R as CSV lines.
+
+    Takes one report's parts, or a scan's (T, P, P) and (T,) arrays for
+    one line per grid time.
+    """
+    p = np.shape(q)[-1]
+    iq, jq = np.triu_indices(p)
+    id_, jd = np.triu_indices(p, 1)
+    q, d = np.reshape(q, (-1, p, p)), np.reshape(d, (-1, p, p))
+    columns = np.column_stack([q[:, iq, jq], d[:, id_, jd], np.ravel(b), np.ravel(r)])
+    # Python floats print as numpy's do; a column of them at a time costs
+    # less than a numpy scalar per entry, and less memory than nested rows
+    return [",".join(map(_fmt, row)) for row in zip(*columns.T.tolist())]
 
 
 def _run_static(args) -> str:
@@ -194,10 +213,10 @@ def _run_static(args) -> str:
             "overlap": _pairs(omega) if omega is not None else None,
             **_report_fields(*_parts(report)),
         }
-        return json.dumps(payload, indent=2)
+        return _json(payload)
 
     header = _flat_header(problem.num_parameters)
-    row = _flat_row(*_parts(report))
+    row = _flat_rows(*_parts(report))
     header += [f"N{mu + 1}" for mu in range(problem.num_parameters)]
     row += [_fmt(n) for n in norms]
     if omega is not None and problem.num_parameters == 2:
@@ -221,9 +240,9 @@ def _run_dynamic(args) -> str:
             "time": args.time,
             **_report_fields(*_parts(report)),
         }
-        return json.dumps(payload, indent=2)
+        return _json(payload)
     header = ["t"] + _flat_header(problem.num_parameters)
-    row = [_fmt(args.time)] + _flat_row(*_parts(report))
+    row = [_fmt(args.time)] + _flat_rows(*_parts(report))
     return "\n".join([",".join(header), ",".join(row)]) + "\n"
 
 
@@ -243,24 +262,26 @@ def _run_scan(args) -> str:
     problem, name = _resolve_problem(args)
     psi0 = _resolve_probe(args, problem, name)
     scan = scan_time(problem, psi0, grid)
-    rows = zip(scan.times, scan.qfim, scan.uhlmann, scan.bound_b, scan.quantumness_r)
+    times = scan.times.tolist()
 
     if args.output_format == "json":
+        rows = zip(times, scan.qfim, scan.uhlmann,
+                   scan.bound_b.tolist(), scan.quantumness_r.tolist())
         payload = {
             "command": "scan",
             "model": name,
             "alpha": args.alpha,
-            "static_reference": scan.static_reference,
-            "rows": [{"t": float(t), **_report_fields(*row)} for t, *row in rows],
+            "static_reference": _json_number(scan.static_reference),
+            "rows": [{"t": t, **_report_fields(*row)} for t, *row in rows],
         }
-        return json.dumps(payload, indent=2)
+        return _json(payload)
 
     lines = []
     if scan.static_reference is not None:
         lines.append(f"# static_reference = {_fmt(scan.static_reference)}")
     lines.append(",".join(["t"] + _flat_header(problem.num_parameters)))
-    for t, *row in rows:
-        lines.append(",".join([_fmt(float(t))] + _flat_row(*row)))
+    rows = _flat_rows(scan.qfim, scan.uhlmann, scan.bound_b, scan.quantumness_r)
+    lines += [f"{_fmt(t)},{row}" for t, row in zip(times, rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -331,7 +352,7 @@ def _run_oracle_check(args) -> str:
             "max_rel_error": max(significant) if significant else 0.0,
             "checks": checks,
         }
-        return json.dumps(payload, indent=2)
+        return _json(payload)
     lines = ["check,engine,oracle,rel_error"]
     for c in checks:
         lines.append(

@@ -12,11 +12,21 @@ c = V^dag psi0, H~_mu = V^dag H_mu V and gaps g_ij = E_i - E_j,
     K~_mu(t) c = e^{iEt} o [M_mu (e^{-iEt} o c)] - M_mu c,
     M_mu = H~_mu / (i g),
 
-so a whole time grid costs one O(d^3) eigensolve of H0 plus one
-(d x d) @ (d x T) product per coupling, O(P d^2 T) in all.  Pairs whose
-phase |g| t stays below ``SMALL_PHASE`` at the smallest positive grid
-time (degenerate pairs among them) would lose that difference to
-cancellation; they take the exact kernel t e^{igt/2} sinc(gt/2) instead.
+so a whole time grid costs one O(d^3) eigensolve of H0, the basis change
+H~_mu of each coupling, and one (d x d) @ (d x T) product per coupling,
+O(P d^2 T) in all.  The H~_mu are the problem's coupling stack
+:attr:`PerturbationProblem.couplings`, built once and held for the
+problem's lifetime (P d^2 numbers, 16 MB at d = 1024 and P = 2 in real
+arithmetic).  For a real model the stack is float64, M_mu is purely
+imaginary, and the product is a real (d x d) @ (d x 2T) one, half the
+flops of the complex product.
+
+Pairs with g = 0 exactly (the diagonal and exactly degenerate levels)
+have K~_ij(t) = H~_ij t: they enter as one rank-1 term t (H~ o Z) c per
+coupling, Z the zero-gap mask.  Pairs whose phase 0 < |g| t stays below
+``SMALL_PHASE`` at the smallest positive grid time would lose the
+factorized difference to cancellation; they take the exact kernel
+t e^{igt/2} sinc(gt/2) instead.
 
 The full K operators (spectral closed form and Gauss-Legendre
 quadrature) and :func:`qfim_dynamic` on them remain as cross-checks of
@@ -212,14 +222,15 @@ def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray)
     """K_mu(t)|psi0> for every grid time, in the H0 eigenbasis.
 
     Returns the tangents, shape (T, P, d), and the probe in the same basis.
-    Working memory is O(P d T): no d x d x T or P x P x d x T array.
+    Working memory is O(P d T) beside the problem's (P, d, d) coupling
+    stack: no d x d x T or P x P x d x T array.
     """
     if psi0.dim != p.dim:
         raise DimensionMismatchError(
             f"probe dimension {psi0.dim} does not match problem dimension {p.dim}"
         )
     dec = p.spectral
-    vectors = dec.eigenvectors
+    stack = p.couplings
     # Centring the spectrum keeps the phases e^{iEt} as accurate as the gaps;
     # a common energy shift cancels in e^{iE_i t} M_ij e^{-iE_j t}.  Each end
     # is halved first, so the centre stays finite near the float range.
@@ -229,39 +240,67 @@ def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray)
     small = np.abs(gaps) * (positive[0] if positive.size else 0.0) < SMALL_PHASE
     inverse_gap = np.zeros(gaps.shape)
     inverse_gap[~small] = 1.0 / gaps[~small]
-    rows, cols = np.nonzero(small)
+    zero_rows, zero_cols = np.nonzero(gaps == 0.0)
+    rows, cols = np.nonzero(small & (gaps != 0.0))
+    sinc_gaps = gaps[rows, cols]
+    del gaps, small
 
-    c = vectors.conj().T @ psi0.amplitudes
-    phases = np.exp(1j * np.outer(grid, energies))
-    rotated = phases.conj()
-    rotated *= c
+    c = dec.eigenvectors.conj().T @ psi0.amplitudes
+    angles = np.multiply.outer(grid, energies)
+    phases = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=phases.real)
+    np.sin(angles, out=phases.imag)
+    del angles
     tangents = np.empty((p.num_parameters, grid.size, dec.dim), dtype=complex)
-    small_weights = []
-    for h, y in zip(p.perturbations, tangents):
-        m = vectors.conj().T @ h.matrix @ vectors
-        small_weights.append(m[rows, cols] * c[cols])
-        m *= inverse_gap
-        m *= -1j  # M = H~ / (i g), zero on the small-phase pairs
-        np.matmul(rotated, m.T, out=y)
-        y *= phases
-        y -= m @ c
-    del phases, rotated, m
+    if np.iscomplexobj(stack):
+        rotated = phases.conj()
+        rotated *= c
+        for h, y in zip(stack, tangents):
+            m = h * inverse_gap
+            m *= -1j  # M = H~ / (i g), zero on the small-phase pairs
+            np.matmul(rotated, m.T, out=y)
+            y *= phases
+            y -= m @ c
+    else:
+        # A real H~ makes M = -i N, with N = H~/g real, so R M^T = (N (-i R)^T)^T
+        # and M c = N (-i c), where R = e^{-iEt} o c.  Both come from one real
+        # (d x d) @ (d x 2(T+1)) product per coupling, on the float view of
+        # (-i R)^T with -i c appended as its last column.
+        minus_i_c = np.empty_like(c)
+        minus_i_c.real, minus_i_c.imag = c.imag, -c.real  # exact
+        rotated = np.empty((dec.dim, grid.size + 1), dtype=complex)
+        np.conjugate(phases.T, out=rotated[:, :-1])
+        rotated[:, :-1] *= minus_i_c[:, None]
+        rotated[:, -1] = minus_i_c
+        products = np.empty_like(rotated)
+        for h, y in zip(stack, tangents):
+            np.matmul(h * inverse_gap, rotated.view(float), out=products.view(float))
+            np.multiply(products[:, :-1].T, phases, out=y)
+            y -= products[:, -1]
+        del products
+    del phases, rotated
     tangents[:, grid == 0.0] = 0.0  # exact there; the difference leaves rounding
 
-    # the exact kernel on the small-phase pairs, at most d pairs at a time
+    # g = 0 (the diagonal and exactly degenerate levels): K~_ij(t) = H~_ij t,
+    # so each coupling adds one rank-1 term t (H~ o Z) c
+    weights = np.zeros((p.num_parameters, dec.dim), dtype=complex)
+    np.add.at(weights, (slice(None), zero_rows), stack[:, zero_rows, zero_cols] * c[zero_cols])
+    for y, w in zip(tangents, weights):
+        y += np.multiply.outer(grid, w)
+
+    # g != 0 but |g| t_min < SMALL_PHASE (every g != 0 when no grid time is
+    # positive): the exact kernel, at most d pairs at a time
+    weights = stack[:, rows, cols] * c[cols]
     for lo in range(0, rows.size, dec.dim):
         chunk = slice(lo, lo + dec.dim)
-        g = gaps[rows[chunk], cols[chunk]]
+        g = sinc_gaps[chunk]
         half_phase = np.multiply.outer(grid, 0.5 * g)
         kernel = np.empty(half_phase.shape, dtype=complex)
         np.cos(half_phase, out=kernel.real)
         np.sin(half_phase, out=kernel.imag)
-        # t sinc(gt/2) = sin(gt/2) (2/g), and t itself where g = 0
-        amplitude = kernel.imag * np.divide(2.0, g, out=np.zeros_like(g), where=g != 0.0)
-        amplitude[:, g == 0.0] = grid[:, None]
-        kernel *= amplitude
-        for y, weights in zip(tangents, small_weights):
-            np.add.at(y, (slice(None), rows[chunk]), kernel * weights[chunk])
+        kernel *= kernel.imag * (2.0 / g)  # t sinc(gt/2) = sin(gt/2) (2/g)
+        for y, w in zip(tangents, weights):
+            np.add.at(y, (slice(None), rows[chunk]), kernel * w[chunk])
     return np.swapaxes(tangents, 0, 1), c
 
 

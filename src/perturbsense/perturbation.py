@@ -48,6 +48,11 @@ LAMBDA_WARN_NORM = 0.1
 _TWO_PI = 2.0 * math.pi
 
 
+def _real(*arrays) -> bool:
+    """True when no array has a nonzero imaginary part (zeros of either sign count)."""
+    return not any(a.imag.any() for a in arrays)
+
+
 def _mod_two_pi(x: float) -> float:
     y = math.fmod(float(x), _TWO_PI)
     if y < 0.0:
@@ -97,10 +102,39 @@ class PerturbationProblem:
     def spectral(self) -> SpectralDecomposition:
         return hermitian_eig(self.h0)
 
+    @cached_property
+    def couplings(self) -> np.ndarray:
+        """The couplings in the H0 eigenbasis, H~_mu = V^dag H_mu V, shape (P, d, d).
+
+        float64 when V and every H_mu have no nonzero imaginary part (a real
+        H0 takes the real eigensolver, whose V is real up to the +-1 phase
+        fix), complex otherwise.  Built on first use and kept, read-only,
+        for the problem's lifetime: P d^2 numbers, 16 MB at d = 1024 and
+        P = 2 in real arithmetic.  Only the dynamical engine reads it; the
+        static path takes the O(d^2) columns of :func:`first_order_correction`.
+        """
+        vectors = self.spectral.eigenvectors
+        real = _real(vectors, *(h.matrix for h in self.perturbations))
+        if real:
+            vectors = np.ascontiguousarray(vectors.real)
+        adjoint = vectors.conj().T
+        stack = np.empty((self.num_parameters, self.dim, self.dim), dtype=vectors.dtype)
+        for h, out in zip(self.perturbations, stack):
+            m = np.ascontiguousarray(h.matrix.real) if real else h.matrix
+            np.matmul(adjoint @ m, vectors, out=out)
+        stack.setflags(write=False)
+        return stack
+
     def with_level(self, level: int) -> "PerturbationProblem":
-        """The same Hamiltonian with another reference level, sharing the solved spectrum."""
+        """The same Hamiltonian with another reference level.
+
+        It shares the solved spectrum and, once built, the coupling stack.
+        """
         other = replace(self, level=level)
-        other.__dict__["spectral"] = self.spectral  # where cached_property stores it
+        # where cached_property stores its value
+        other.__dict__["spectral"] = self.spectral
+        if "couplings" in self.__dict__:
+            other.__dict__["couplings"] = self.couplings
         return other
 
     def hamiltonian(self, lambdas) -> HermitianOperator:

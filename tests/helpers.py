@@ -52,6 +52,13 @@ def force_complex_eigh(monkeypatch) -> None:
     monkeypatch.setattr(oracle, "eigh", complex_eigh)
 
 
+def force_complex_couplings(monkeypatch) -> None:
+    """Make ``PerturbationProblem.couplings`` take its complex path, real model or not."""
+    from perturbsense import perturbation
+
+    monkeypatch.setattr(perturbation, "_real", lambda *arrays: False)
+
+
 def count_eigvalsh(monkeypatch) -> list:
     """Record the shape of every ``np.linalg.eigvalsh`` call from now on."""
     calls = []

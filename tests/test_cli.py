@@ -14,7 +14,7 @@ import pytest
 
 from perturbsense.cli import main
 
-from helpers import count_eigh, force_complex_eigh
+from helpers import count_eigh, force_complex_couplings, force_complex_eigh
 
 B_STATIC_ANHARMONIC = 466.0 / 1131.0
 
@@ -536,6 +536,105 @@ class TestRealArithmetic:
             for column, rtol in (("engine", 1e-13), ("oracle", 1e-9)):
                 scale = max(abs(b[column]), 1.0)
                 assert abs(a[column] - b[column]) <= rtol * scale, (a["name"], column)
+
+
+class TestRealCouplings:
+    """The real coupling stack gives the presets' output the bits of the complex one."""
+
+    SCANS = (
+        ["dynamic", "--time", "1.3"],
+        ["scan", "--t-min", "0.05", "--t-max", "10", "--t-steps", "25"],
+        ["scan", "--t-min", "0", "--t-max", "6.3", "--t-steps", "19"],
+    )
+
+    def test_preset_output_byte_identical_to_the_complex_stack(self, capsys, monkeypatch):
+        from perturbsense import PerturbationProblem
+
+        runs = [
+            command + preset + ["--output-format", fmt]
+            for preset in TestRealArithmetic.PRESET_ARGS
+            + (["--model", "anharmonic", "--fock-dim", "128"],)
+            for command in self.SCANS
+            for fmt in ("csv", "json")
+        ]
+
+        dtypes = []
+        couplings = PerturbationProblem.couplings.func
+
+        def recording(problem):
+            stack = couplings(problem)
+            dtypes.append(stack.dtype)
+            return stack
+
+        monkeypatch.setattr(PerturbationProblem, "couplings", property(recording))
+
+        def outputs():
+            dtypes.clear()
+            texts = []
+            for argv in runs:
+                code, out, err = run_cli(capsys, *argv)
+                assert code == 0, (argv, err)
+                texts.append(out)
+            return texts, set(dtypes)
+
+        real, real_dtypes = outputs()
+        force_complex_couplings(monkeypatch)
+        forced, forced_dtypes = outputs()
+        assert real_dtypes == {np.dtype(np.float64), np.dtype(np.complex128)}
+        assert forced_dtypes == {np.dtype(np.complex128)}
+        for argv, a, b in zip(runs, real, forced):
+            assert a == b, argv
+
+    @pytest.mark.parametrize("fock_dim", ["16", "128"])
+    def test_oracle_check_engine_columns_byte_identical(self, capsys, monkeypatch, fock_dim):
+        argv = ["oracle-check", "--model", "anharmonic", "--fock-dim", fock_dim,
+                "--lambda", "1e-3", "-1e-3", "--time", "1.3"]
+        real = json_run(capsys, *argv)["checks"]
+        force_complex_couplings(monkeypatch)
+        forced = json_run(capsys, *argv)["checks"]
+        assert [c["name"] for c in real] == [c["name"] for c in forced]
+        assert [c["engine"] for c in real] == [c["engine"] for c in forced]
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"non-standard JSON token {name}")
+
+
+class TestStrictJson:
+    """Singular points print null, never the Infinity or NaN tokens RFC 8259 lacks."""
+
+    @pytest.mark.parametrize(
+        "argv, singular",
+        [
+            (["static", "--model", "qutrit", "--alpha", "0"], "bound_b"),
+            (["dynamic", "--model", "anharmonic", "--time", "0"], "bound_b"),
+            (["dynamic", "--model", "qubit", "--time", "0"], "bound_b"),
+            (["scan", "--model", "qutrit", "--alpha", "0",
+              "--t-min", "0", "--t-max", "3", "--t-steps", "4"], "static_reference"),
+            (["scan", "--model", "anharmonic", "--t-min", "0", "--t-max", str(math.pi),
+              "--t-steps", "3"], "rows"),
+            (["oracle-check", "--model", "qutrit", "--alpha", "0",
+              "--lambda", "1e-3", "1e-3", "--time", "0"], None),
+        ],
+    )
+    def test_singular_output_parses_strictly(self, capsys, argv, singular):
+        code, out, err = run_cli(capsys, *argv, "--output-format", "json")
+        assert code == 0, err
+        payload = json.loads(out, parse_constant=_refuse_constant)
+        if singular == "rows":
+            rows = payload["rows"]
+            assert [r["bound_b"] is None for r in rows] == [True, False, True]
+            assert [r["quantumness_r"] is None for r in rows] == [True, False, True]
+        elif singular is not None:
+            assert payload[singular] is None
+
+    def test_csv_keeps_inf_and_nan(self, capsys):
+        code, out, _ = run_cli(capsys, "static", "--model", "qutrit", "--alpha", "0",
+                               "--output-format", "csv")
+        assert code == 0
+        header, row = out.strip().splitlines()
+        values = dict(zip(header.split(","), row.split(",")))
+        assert (values["B"], values["R"]) == ("inf", "nan")
 
 
 def readme_cli_commands():

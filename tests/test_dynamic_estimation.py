@@ -14,14 +14,16 @@ from perturbsense import (
     StateVector,
     TimeScan,
     dynamic_report,
+    first_order_correction,
     hermitian_eig,
     k_operator_quadrature,
     k_operator_spectral,
     make_report,
     qfim_dynamic,
     scan_time,
+    static_report,
 )
-from perturbsense import models, oracle
+from perturbsense import cli, models, oracle
 from perturbsense.models import ModelKind, ModelSpec
 
 from helpers import count_eigh, count_eigvalsh, random_hermitian, random_state
@@ -405,6 +407,51 @@ def _random_gapped_model(seed):
     return problem, StateVector(random_state(rng, dim))
 
 
+def _random_real_model(seed):
+    """A real H0 with a dense orthogonal eigenbasis and P = 1..3 real-symmetric couplings."""
+    rng = np.random.default_rng(2400 + seed)
+    dim = int(rng.integers(4, 12))
+    basis = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    h0 = (basis * rng.uniform(-3.0, 3.0, dim)) @ basis.T
+    couplings = [rng.normal(size=(dim, dim)) for _ in range(1 + seed % 3)]
+    problem = PerturbationProblem(
+        h0=HermitianOperator(0.5 * (h0 + h0.T)),
+        perturbations=tuple(HermitianOperator(0.5 * (m + m.T)) for m in couplings),
+        level=0,
+    )
+    return problem, StateVector(random_state(rng, dim))
+
+
+def _degenerate_model(seed, tiny_gap):
+    """Diagonal H0 whose levels 0 and 1 coincide exactly, every pair coupled.
+
+    With ``tiny_gap`` level 2 sits 1e-10..1e-6 above them, so rows 0 to 2
+    each hold zero-gap pairs and a small nonzero-gap pair.  Odd seeds give
+    complex couplings, even seeds real ones.
+    """
+    rng = np.random.default_rng(2500 + seed)
+    dim = int(rng.integers(5, 10))
+    energies = np.sort(rng.uniform(-3.0, 3.0, dim))
+    energies[1] = energies[0]
+    if tiny_gap:
+        energies[2] = energies[0] + 10.0 ** rng.uniform(-10.0, -6.0)
+    couplings = []
+    for _ in range(2):
+        h = random_hermitian(rng, dim) if seed % 2 else rng.normal(size=(dim, dim))
+        couplings.append(HermitianOperator(0.5 * (h + h.conj().T)))
+    problem = PerturbationProblem(
+        h0=HermitianOperator(np.diag(energies)),
+        perturbations=tuple(couplings),
+        level=3,
+    )
+    return problem, StateVector(random_state(rng, dim))
+
+
+def _scan_arrays(problem, probe, grid):
+    scan = scan_time(problem, probe, grid)
+    return scan.qfim, scan.uhlmann
+
+
 class TestProbeSpaceEngine:
     """scan_time and dynamic_report against full K operators at each time."""
 
@@ -414,6 +461,13 @@ class TestProbeSpaceEngine:
         "tiny-times": np.concatenate([[0.0, 1e-9, 1e-6], np.linspace(0.1, 6.0, 10)]),
         "regular": np.concatenate([[0.0], np.linspace(0.02, 6.0, 10)]),
     }
+
+    def assert_matches_reference(self, problem, probe, grid):
+        q, d = _scan_arrays(problem, probe, grid)
+        q_ref, d_ref = _per_time_reference(problem, probe, grid)
+        scale = float(np.max(np.abs(q_ref)))
+        assert np.max(np.abs(q - q_ref)) <= self.RTOL * scale
+        assert np.max(np.abs(d - d_ref)) <= self.RTOL * scale
 
     @pytest.mark.parametrize("grid_name", sorted(GRIDS))
     @pytest.mark.parametrize("seed", range(8))
@@ -428,6 +482,91 @@ class TestProbeSpaceEngine:
         assert np.max(np.abs(q - q_ref)) <= self.RTOL * scale
         assert np.max(np.abs(d - d_ref)) <= self.RTOL * scale
         assert np.all(q[0] == 0.0) and math.isinf(scan.reports[0].bound_b)
+
+    @pytest.mark.parametrize("grid_name", sorted(GRIDS))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_real_stack_with_dense_eigenbasis(self, seed, grid_name):
+        problem, probe = _random_real_model(seed)
+        assert problem.couplings.dtype == np.float64
+        vectors = problem.spectral.eigenvectors
+        assert np.count_nonzero(vectors) == vectors.size  # V is no permutation
+        self.assert_matches_reference(problem, probe, self.GRIDS[grid_name])
+
+    @pytest.mark.parametrize("tiny_gap", [False, True], ids=["degenerate", "degenerate+tiny"])
+    @pytest.mark.parametrize("grid_name", sorted(GRIDS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_coupled_degenerate_levels(self, seed, grid_name, tiny_gap):
+        problem, probe = _degenerate_model(seed, tiny_gap)
+        energies = problem.spectral.eigenvalues
+        assert energies[0] == energies[1]  # row 0 holds two zero-gap pairs
+        assert (energies[2] - energies[1] < 1e-6) == tiny_gap
+        assert problem.couplings.dtype == (np.complex128 if seed % 2 else np.float64)
+        self.assert_matches_reference(problem, probe, self.GRIDS[grid_name])
+
+    def test_coupling_stack_dtype_and_sharing(self):
+        anharmonic = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
+        qutrit = models.build(ModelSpec(ModelKind.QUTRIT_2PARAM, alpha=1.2))
+        assert anharmonic.couplings.dtype == np.float64
+        assert anharmonic.couplings.shape == (2, 16, 16)
+        assert qutrit.couplings.dtype == np.complex128
+        assert not anharmonic.couplings.flags.writeable
+        for p in (anharmonic, qutrit):
+            v = p.spectral.eigenvectors
+            for h, h_eig in zip(p.perturbations, p.couplings):
+                assert np.max(np.abs(v.conj().T @ h.matrix @ v - h_eig)) <= 1e-12
+            assert p.with_level(1).couplings is p.couplings
+
+    def test_static_path_never_builds_the_stack(self, capsys, monkeypatch):
+        p = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
+        static_report([first_order_correction(p, mu) for mu in range(2)])
+        assert "spectral" in vars(p) and "couplings" not in vars(p)
+        assert "couplings" not in vars(p.with_level(2))
+
+        resolved = []
+        resolve = cli._resolve_problem
+
+        def recording(args):
+            problem, name = resolve(args)
+            resolved.append(problem)
+            return problem, name
+
+        monkeypatch.setattr(cli, "_resolve_problem", recording)
+        argv = ["--model", "anharmonic", "--output-format", "csv"]
+        assert cli.main(["oracle-check", *argv, "--lambda", "1e-3", "1e-3"]) == 0
+        assert cli.main(["static", *argv]) == 0
+        assert cli.main(["scan", *argv, "--t-min", "0.1", "--t-max", "1", "--t-steps", "3"]) == 0
+        capsys.readouterr()
+        assert ["couplings" in vars(p) for p in resolved] == [False, False, True]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_change_of_basis_invariance(self, seed):
+        """Q and D do not change when H0, the H_mu and the probe share a basis change.
+
+        A real orthogonal change keeps the real stack; a complex unitary
+        one moves the same model onto the complex stack.
+        """
+        problem, probe = _random_real_model(seed)
+        rng = np.random.default_rng(2600 + seed)
+        dim = problem.dim
+        orthogonal = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+        unitary = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+        grid = self.GRIDS["regular"]
+        q, d = _scan_arrays(problem, probe, grid)
+        for u, dtype in ((orthogonal, np.float64), (unitary, np.complex128)):
+            def rotate(h):
+                m = u @ h.matrix @ u.conj().T
+                return HermitianOperator(0.5 * (m + m.conj().T))
+
+            moved = PerturbationProblem(
+                h0=rotate(problem.h0),
+                perturbations=tuple(map(rotate, problem.perturbations)),
+                level=0,
+            )
+            assert moved.couplings.dtype == dtype
+            q_moved, d_moved = _scan_arrays(moved, StateVector(u @ probe.amplitudes), grid)
+            scale = float(np.max(np.abs(q)))
+            assert np.max(np.abs(q_moved - q)) <= self.RTOL * scale
+            assert np.max(np.abs(d_moved - d)) <= self.RTOL * scale
 
     def test_dynamic_report_matches_reference(self):
         problem, probe = _random_gapped_model(3)
