@@ -12,8 +12,9 @@ Models are either presets (``qubit``, ``qubit2``, ``qutrit``,
 and ``perturbations``, matrices encoded as nested arrays of [re, im]
 pairs, plus an optional ``level`` (default 0).
 
-Exit status: 0 on success, 2 on validation errors, 3 on numerical errors
-(degeneracy, level tracking, fatal singularities).
+Exit status: 0 on success, 1 when the reader of stdout closes it early,
+2 on validation errors, 3 on numerical errors (degeneracy, level
+tracking, fatal singularities).
 """
 
 from __future__ import annotations
@@ -44,14 +45,10 @@ from .static_estimation import static_report
 
 __all__ = ["build_parser", "run", "main"]
 
-PRESET_KINDS = {
-    "qubit": models.ModelKind.QUBIT_1PARAM,
-    "qubit2": models.ModelKind.QUBIT_2PARAM,
-    "qutrit": models.ModelKind.QUTRIT_2PARAM,
-    "anharmonic": models.ModelKind.ANHARMONIC_2PARAM,
-}
+PRESET_KINDS = {kind.value: kind for kind in models.ModelKind}
 
 EXIT_OK = 0
+EXIT_CLOSED_PIPE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
@@ -316,28 +313,25 @@ def _run_oracle_check(args) -> str:
         raise CliValidationError(
             f"--lambda needs {problem.num_parameters} value(s) for model '{name}'"
         )
-    checks = []
-
     corrections = [
         first_order_correction(problem, mu) for mu in range(problem.num_parameters)
     ]
-    engine = static_report(corrections)
+    schemes = [("static", static_report(corrections))]
     if args.time is None:
-        eigenstates = exact_eigenstate_family(problem)
+        families = [exact_eigenstate_family(problem)]
     else:
-        # each H(lambda) the eigenstate family solves also gives the
-        # evolved family its state there
         psi0 = _resolve_probe(args, problem, name)
-        eigenstates, evolved = exact_families(problem, psi0, args.time)
-    q_fd, d_fd = fd_qfim(eigenstates, lam, eps=args.eps)
-    checks += _entry_checks("static_Q", engine.qfim.entries, q_fd.entries)
-    checks += _entry_checks("static_D", engine.uhlmann.entries, d_fd.entries, antisymmetric=True)
-
-    if args.time is not None:
-        dyn = dynamic_report(problem, psi0, args.time)
-        q_fd, d_fd = fd_qfim(evolved, lam, eps=args.eps)
-        checks += _entry_checks("dynamic_Q", dyn.qfim.entries, q_fd.entries)
-        checks += _entry_checks("dynamic_D", dyn.uhlmann.entries, d_fd.entries, antisymmetric=True)
+        schemes.append(("dynamic", dynamic_report(problem, psi0, args.time)))
+        families = exact_families(problem, psi0, args.time)
+    checks = []
+    # the eigenstate family is sampled first: each H(lambda) it solves also
+    # gives the evolved family its state there
+    for (label, engine), family in zip(schemes, families):
+        q_fd, d_fd = fd_qfim(family, lam, eps=args.eps)
+        checks += _entry_checks(f"{label}_Q", engine.qfim.entries, q_fd.entries)
+        checks += _entry_checks(
+            f"{label}_D", engine.uhlmann.entries, d_fd.entries, antisymmetric=True
+        )
 
     # summary over entries the leading-order engine resolves; relative errors
     # against its exact zeros only reflect the finite-lambda evaluation point
@@ -384,7 +378,7 @@ def _add_model_arguments(sub: argparse.ArgumentParser, default_format: str) -> N
     sub.add_argument(
         "--model",
         required=True,
-        help="preset (qubit, qubit2, qutrit, anharmonic) or path to a JSON Hamiltonian file",
+        help=f"preset ({', '.join(PRESET_KINDS)}) or path to a JSON Hamiltonian file",
     )
     sub.add_argument("--alpha", type=_finite_float, default=None, help="mixing angle in radians")
     sub.add_argument("--fock-dim", type=int, default=16, help="Fock truncation (anharmonic)")
@@ -485,9 +479,16 @@ def run(args: argparse.Namespace) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if args.out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            sys.stdout.write(text)
+            if not text.endswith("\n"):
+                sys.stdout.write("\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed early (``| head``): point stdout at devnull so
+            # the flush at interpreter exit cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_CLOSED_PIPE
     else:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

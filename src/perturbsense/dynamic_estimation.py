@@ -26,7 +26,8 @@ have K~_ij(t) = H~_ij t: they enter as one rank-1 term t (H~ o Z) c per
 coupling, Z the zero-gap mask.  Pairs whose phase 0 < |g| t stays below
 ``SMALL_PHASE`` at the smallest positive grid time would lose the
 factorized difference to cancellation; they take the exact kernel
-t e^{igt/2} sinc(gt/2) instead.
+t e^{igt/2} sinc(gt/2) instead.  A grid with no positive time has
+K_mu = 0 exactly and returns zero tangents before any of this.
 
 The full K operators (spectral closed form and Gauss-Legendre
 quadrature) and :func:`qfim_dynamic` on them remain as cross-checks of
@@ -230,14 +231,17 @@ def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray)
             f"probe dimension {psi0.dim} does not match problem dimension {p.dim}"
         )
     dec = p.spectral
+    c = dec.eigenvectors.conj().T @ psi0.amplitudes
+    positive = grid[grid > 0.0]
+    if positive.size == 0:  # K(0) = 0 exactly
+        return np.zeros((grid.size, p.num_parameters, dec.dim), dtype=complex), c
     stack = p.couplings
     # Centring the spectrum keeps the phases e^{iEt} as accurate as the gaps;
     # a common energy shift cancels in e^{iE_i t} M_ij e^{-iE_j t}.  Each end
     # is halved first, so the centre stays finite near the float range.
     energies = dec.eigenvalues - (0.5 * dec.eigenvalues[0] + 0.5 * dec.eigenvalues[-1])
     gaps = energies[:, None] - energies[None, :]
-    positive = grid[grid > 0.0]
-    small = np.abs(gaps) * (positive[0] if positive.size else 0.0) < SMALL_PHASE
+    small = np.abs(gaps) * positive[0] < SMALL_PHASE
     inverse_gap = np.zeros(gaps.shape)
     inverse_gap[~small] = 1.0 / gaps[~small]
     zero_rows, zero_cols = np.nonzero(gaps == 0.0)
@@ -245,7 +249,6 @@ def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray)
     sinc_gaps = gaps[rows, cols]
     del gaps, small
 
-    c = dec.eigenvectors.conj().T @ psi0.amplitudes
     angles = np.multiply.outer(grid, energies)
     phases = np.empty(angles.shape, dtype=complex)
     np.cos(angles, out=phases.real)
@@ -288,8 +291,8 @@ def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray)
     for y, w in zip(tangents, weights):
         y += np.multiply.outer(grid, w)
 
-    # g != 0 but |g| t_min < SMALL_PHASE (every g != 0 when no grid time is
-    # positive): the exact kernel, at most d pairs at a time
+    # g != 0 but |g| t_min < SMALL_PHASE: the exact kernel, at most d pairs
+    # at a time
     weights = stack[:, rows, cols] * c[cols]
     for lo in range(0, rows.size, dec.dim):
         chunk = slice(lo, lo + dec.dim)

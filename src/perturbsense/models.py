@@ -94,13 +94,13 @@ def position_operator(dim: int) -> np.ndarray:
     return (a + a.conj().T) / math.sqrt(2.0)
 
 
-def trusted_level_count(fock_dim: int, power: int = TRUNCATION_EDGE) -> int:
-    """Number of Fock levels on which truncated x^power matrix elements are exact.
+def trusted_level_count(fock_dim: int) -> int:
+    """Number of Fock levels on which the truncated x^4 matrix elements are exact.
 
-    Products of the truncated x pick up errors within ``power`` levels of
-    the cutoff, so only indices below ``fock_dim - power`` are trusted.
+    Products of the truncated x pick up errors within ``TRUNCATION_EDGE``
+    levels of the cutoff; only indices below fock_dim - TRUNCATION_EDGE count.
     """
-    return max(0, fock_dim - power)
+    return max(0, fock_dim - TRUNCATION_EDGE)
 
 
 def build(spec: ModelSpec) -> PerturbationProblem:

@@ -126,15 +126,10 @@ class PerturbationProblem:
         return stack
 
     def with_level(self, level: int) -> "PerturbationProblem":
-        """The same Hamiltonian with another reference level.
-
-        It shares the solved spectrum and, once built, the coupling stack.
-        """
+        """The same Hamiltonian with another reference level, sharing the solved spectrum."""
         other = replace(self, level=level)
         # where cached_property stores its value
         other.__dict__["spectral"] = self.spectral
-        if "couplings" in self.__dict__:
-            other.__dict__["couplings"] = self.couplings
         return other
 
     def hamiltonian(self, lambdas) -> HermitianOperator:

@@ -1,0 +1,73 @@
+"""Write ``cli_outputs.json``: the default stdout of a fixed set of CLI runs.
+
+``tests/test_golden.py`` runs every case again in process and compares
+stdout byte for byte, so a change that moves a printed digit fails there.
+A change that moves digits on purpose regenerates the file and says why:
+
+    PYTHONPATH=src python tests/golden/make_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from perturbsense.cli import main
+
+GOLDEN = Path(__file__).with_name("cli_outputs.json")
+
+# (model arguments, --lambda values for oracle-check)
+MODELS = (
+    (["--model", "qubit"], ["1e-3"]),
+    (["--model", "qubit2", "--alpha", "0.7"], ["1e-3", "-1e-3"]),
+    (["--model", "qutrit", "--alpha", "1.2"], ["1e-3", "-1e-3"]),
+    (["--model", "anharmonic", "--fock-dim", "16"], ["1e-3", "-1e-3"]),
+    (["--model", "anharmonic", "--fock-dim", "128"], ["1e-3", "-1e-3"]),
+)
+
+
+def commands(lambdas: list[str]) -> list[list[str]]:
+    return [
+        ["static"],
+        ["dynamic", "--time", "1.3"],
+        ["dynamic", "--time", "0"],
+        ["scan", "--t-min", "0.05", "--t-max", "10", "--t-steps", "9"],
+        ["scan", "--t-min", "0", "--t-max", "6.3", "--t-steps", "7"],
+        ["oracle-check", "--lambda", *lambdas],
+        ["oracle-check", "--lambda", *lambdas, "--time", "1.3"],
+        ["oracle-check", "--lambda", *lambdas, "--time", "0"],
+    ]
+
+
+def cases() -> list[list[str]]:
+    return [
+        command + model + ["--output-format", fmt]
+        for model, lambdas in MODELS
+        for command in commands(lambdas)
+        for fmt in ("csv", "json")
+    ]
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    """Exit status and stdout of ``perturbsense ARGV``, run in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def write() -> int:
+    records = []
+    for argv in cases():
+        code, stdout = run(argv)
+        if code != 0:
+            raise SystemExit(f"exit {code}: perturbsense {' '.join(argv)}")
+        records.append({"argv": argv, "stdout": stdout})
+    GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    return len(records)
+
+
+if __name__ == "__main__":
+    print(f"wrote {write()} cases to {GOLDEN}")

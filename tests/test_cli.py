@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -694,3 +695,22 @@ class TestEntryPoint:
             text=True,
         )
         assert result.returncode == 2
+
+    def test_closed_pipe_exits_1_without_traceback(self):
+        # about 2.4 MB of JSON, far more than a pipe holds, so the writer is
+        # still writing when the reader closes after the first line
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "perturbsense.cli", "scan", "--model", "qubit",
+             "--t-min", "0", "--t-max", "10", "--t-steps", "10000", "--output-format", "json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        with proc.stderr:
+            err = proc.stderr.read().decode()
+        assert code == 1
+        assert err == ""  # no BrokenPipeError traceback

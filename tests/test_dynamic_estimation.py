@@ -503,7 +503,7 @@ class TestProbeSpaceEngine:
         assert problem.couplings.dtype == (np.complex128 if seed % 2 else np.float64)
         self.assert_matches_reference(problem, probe, self.GRIDS[grid_name])
 
-    def test_coupling_stack_dtype_and_sharing(self):
+    def test_coupling_stack_dtype_and_values(self):
         anharmonic = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
         qutrit = models.build(ModelSpec(ModelKind.QUTRIT_2PARAM, alpha=1.2))
         assert anharmonic.couplings.dtype == np.float64
@@ -514,7 +514,6 @@ class TestProbeSpaceEngine:
             v = p.spectral.eigenvectors
             for h, h_eig in zip(p.perturbations, p.couplings):
                 assert np.max(np.abs(v.conj().T @ h.matrix @ v - h_eig)) <= 1e-12
-            assert p.with_level(1).couplings is p.couplings
 
     def test_static_path_never_builds_the_stack(self, capsys, monkeypatch):
         p = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
@@ -576,6 +575,19 @@ class TestProbeSpaceEngine:
             scale = max(float(np.max(np.abs(q_ref))), 1e-300)
             assert np.max(np.abs(report.qfim.entries - q_ref[0])) <= self.RTOL * scale
             assert np.max(np.abs(report.uhlmann.entries - d_ref[0])) <= self.RTOL * scale
+
+    def test_zero_time_forms_no_phase_and_no_stack(self, monkeypatch):
+        # K(0) = 0 exactly, so no phase, kernel or coupling stack is formed
+        problem = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=128))
+
+        def no_sin(*args, **kwargs):
+            raise AssertionError("np.sin called at t = 0")
+
+        monkeypatch.setattr(np, "sin", no_sin)
+        report = dynamic_report(problem, models.vacuum_state(128), 0.0)
+        assert not report.qfim.entries.any() and not report.uhlmann.entries.any()
+        assert report.bound_b == math.inf and report.quantumness_r is None
+        assert "couplings" not in vars(problem)
 
     def test_dynamic_report_rejects_bad_times(self):
         for t in (-0.1, math.nan, math.inf):

@@ -1,0 +1,27 @@
+"""Default CLI output pinned byte for byte across commits.
+
+The cases and their stdout live in ``golden/cli_outputs.json``, written
+by ``golden/make_golden.py``; a change that moves digits on purpose
+regenerates that file and says why.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from perturbsense.cli import main
+
+CASES = json.loads(
+    (Path(__file__).parent / "golden" / "cli_outputs.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join(case["argv"]))
+def test_default_output_is_byte_identical(capsys, case):
+    code = main(case["argv"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out == case["stdout"]
