@@ -13,8 +13,9 @@ and ``perturbations``, matrices encoded as nested arrays of [re, im]
 pairs, plus an optional ``level`` (default 0).
 
 Exit status: 0 on success, 1 when the reader of stdout closes it early,
-2 on validation errors, 3 on numerical errors (degeneracy, level
-tracking, fatal singularities).
+2 on validation errors (bad flags or files, and every package error that
+is also a ``ValueError``), 3 on the package's other, numerical errors
+(degeneracy, level tracking, fatal singularities).
 """
 
 from __future__ import annotations
@@ -30,16 +31,9 @@ import numpy as np
 
 from . import models
 from .dynamic_estimation import dynamic_report, scan_time
-from .errors import (
-    DegeneracyError,
-    EigensolverError,
-    FiniteDifferenceError,
-    LevelTrackingError,
-    PerturbSenseError,
-    SingularQfimError,
-)
+from .errors import PerturbSenseError
 from .operators import HermitianOperator, StateVector
-from .oracle import exact_eigenstate_family, exact_families, fd_qfim
+from .oracle import exact_eigenstate, exact_families, fd_qfim
 from .perturbation import PerturbationProblem, first_order_correction, overlaps
 from .static_estimation import static_report
 
@@ -128,12 +122,8 @@ def load_hamiltonian_file(path: str) -> PerturbationProblem:
 def _resolve_problem(args) -> tuple[PerturbationProblem, str]:
     name = args.model
     if name in PRESET_KINDS:
-        kind = PRESET_KINDS[name]
-        if kind in (models.ModelKind.QUBIT_2PARAM, models.ModelKind.QUTRIT_2PARAM):
-            if args.alpha is None:
-                raise CliValidationError(f"model '{name}' requires --alpha (radians)")
         try:
-            spec = models.ModelSpec(kind=kind, alpha=args.alpha, fock_dim=args.fock_dim)
+            spec = models.ModelSpec(PRESET_KINDS[name], alpha=args.alpha, fock_dim=args.fock_dim)
             return models.build(spec), name
         except ValueError as exc:
             raise CliValidationError(str(exc)) from exc
@@ -145,11 +135,12 @@ def _resolve_problem(args) -> tuple[PerturbationProblem, str]:
 
 
 def _resolve_probe(args, problem: PerturbationProblem, name: str) -> StateVector:
-    if name == "qubit" or name == "qubit2":
+    kind = PRESET_KINDS.get(name)
+    if kind in (models.ModelKind.QUBIT_1PARAM, models.ModelKind.QUBIT_2PARAM):
         return models.qubit_probe(args.theta, args.phi)
-    if name == "qutrit":
+    if kind is models.ModelKind.QUTRIT_2PARAM:
         return models.qutrit_probe()
-    if name == "anharmonic":
+    if kind is models.ModelKind.ANHARMONIC_2PARAM:
         return models.vacuum_state(problem.dim)
     return problem.spectral.eigenstate(problem.level)
 
@@ -197,6 +188,7 @@ def _run_static(args) -> str:
         first_order_correction(problem, mu) for mu in range(problem.num_parameters)
     ]
     report = static_report(corrections)
+    anharmonic = PRESET_KINDS.get(name) is models.ModelKind.ANHARMONIC_2PARAM
     norms = [c.squared_norm for c in corrections]
     omega = overlaps(corrections).entries if all(n > 0 for n in norms) else None
 
@@ -205,7 +197,7 @@ def _run_static(args) -> str:
             "command": "static",
             "model": name,
             "alpha": args.alpha,
-            "fock_dim": args.fock_dim if name == "anharmonic" else None,
+            "fock_dim": args.fock_dim if anharmonic else None,
             "squared_norms": norms,
             "overlap": _pairs(omega) if omega is not None else None,
             **_report_fields(*_parts(report)),
@@ -318,16 +310,14 @@ def _run_oracle_check(args) -> str:
     ]
     schemes = [("static", static_report(corrections))]
     if args.time is None:
-        families = [exact_eigenstate_family(problem)]
+        def family(lambdas):
+            return (exact_eigenstate(problem, lambdas),)
     else:
         psi0 = _resolve_probe(args, problem, name)
         schemes.append(("dynamic", dynamic_report(problem, psi0, args.time)))
-        families = exact_families(problem, psi0, args.time)
+        family = exact_families(problem, psi0, args.time)
     checks = []
-    # the eigenstate family is sampled first: each H(lambda) it solves also
-    # gives the evolved family its state there
-    for (label, engine), family in zip(schemes, families):
-        q_fd, d_fd = fd_qfim(family, lam, eps=args.eps)
+    for (label, engine), (q_fd, d_fd) in zip(schemes, fd_qfim(family, lam, eps=args.eps)):
         checks += _entry_checks(f"{label}_Q", engine.qfim.entries, q_fd.entries)
         checks += _entry_checks(
             f"{label}_D", engine.uhlmann.entries, d_fd.entries, antisymmetric=True
@@ -469,13 +459,11 @@ def run(args: argparse.Namespace) -> int:
     except CliValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (
-        DegeneracyError,
-        EigensolverError,
-        SingularQfimError,
-        LevelTrackingError,
-        FiniteDifferenceError,
-    ) as exc:
+    except PerturbSenseError as exc:
+        # the package's errors that are also ValueErrors are bad input
+        if isinstance(exc, ValueError):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if args.out is None:

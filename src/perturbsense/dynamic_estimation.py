@@ -241,7 +241,8 @@ def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray)
     # is halved first, so the centre stays finite near the float range.
     energies = dec.eigenvalues - (0.5 * dec.eigenvalues[0] + 0.5 * dec.eigenvalues[-1])
     gaps = energies[:, None] - energies[None, :]
-    small = np.abs(gaps) * positive[0] < SMALL_PHASE
+    with np.errstate(over="ignore"):  # an infinite phase is not small either
+        small = np.abs(gaps) * positive[0] < SMALL_PHASE
     inverse_gap = np.zeros(gaps.shape)
     inverse_gap[~small] = 1.0 / gaps[~small]
     zero_rows, zero_cols = np.nonzero(gaps == 0.0)
@@ -285,9 +286,12 @@ def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray)
     tangents[:, grid == 0.0] = 0.0  # exact there; the difference leaves rounding
 
     # g = 0 (the diagonal and exactly degenerate levels): K~_ij(t) = H~_ij t,
-    # so each coupling adds one rank-1 term t (H~ o Z) c
+    # so each coupling adds one rank-1 term t (H~ o Z) c.  Its component
+    # along c only adds a phase, which geometric_tensor projects out again;
+    # kept, its square would grow as t^2 and cancel there, so it is dropped
     weights = np.zeros((p.num_parameters, dec.dim), dtype=complex)
     np.add.at(weights, (slice(None), zero_rows), stack[:, zero_rows, zero_cols] * c[zero_cols])
+    weights -= np.multiply.outer(weights @ c.conj() / np.vdot(c, c), c)
     for y, w in zip(tangents, weights):
         y += np.multiply.outer(grid, w)
 

@@ -76,7 +76,7 @@ class FiniteDifferenceError(PerturbSenseError):
 
 
 class FiniteDifferenceStepError(PerturbSenseError, ValueError):
-    """A finite-difference step is not a positive finite number."""
+    """A finite-difference step is not positive and finite, or too small to move the couplings."""
 
 
 class LevelTrackingError(PerturbSenseError):

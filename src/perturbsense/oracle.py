@@ -47,11 +47,7 @@ def _solve(p: PerturbationProblem, lam) -> tuple[np.ndarray, np.ndarray]:
     return eigh(p.hamiltonian(lam).matrix)
 
 
-def exact_eigenstate(
-    p: PerturbationProblem,
-    lambdas,
-    on_solve: Callable[[np.ndarray, np.ndarray], None] | None = None,
-) -> StateVector:
+def exact_eigenstate(p: PerturbationProblem, lambdas) -> StateVector:
     """Exact eigenvector of ``p.hamiltonian(lambdas)`` at the tracked level ``p.level``.
 
     The level is identified by overlap with the unperturbed eigenvector,
@@ -62,15 +58,14 @@ def exact_eigenstate(
     continuity along a straight path of ``PATH_STEPS`` solves from
     lambda = 0, the last of which is that same solve.  The phase is fixed
     by a positive overlap with the unperturbed eigenvector.
-
-    ``on_solve``, if given, receives the eigenvalues and eigenvectors of
-    that solve at lambda, so a caller can reuse it without a second one.
     """
     lam = np.asarray(lambdas, dtype=float)
+    return _tracked(p, lam, _solve(p, lam)[1])
+
+
+def _tracked(p: PerturbationProblem, lam: np.ndarray, end: np.ndarray) -> StateVector:
+    """The tracked level's eigenvector, given the eigenvectors ``end`` of H(lam)."""
     v0 = p.spectral.eigenvectors[:, p.level]
-    vals, end = _solve(p, lam)
-    if on_solve is not None:
-        on_solve(vals, end)
     projections = np.abs(end.conj().T @ v0)
     idx = int(np.argmax(projections))
     if projections[idx] ** 2 >= DIRECT_OVERLAP_MIN:
@@ -105,10 +100,16 @@ def exact_eigenstate_family(p: PerturbationProblem) -> Callable[[np.ndarray], St
     return family
 
 
-def _check_step(eps: float) -> None:
+def _check_step(eps: float, lam, shift: float) -> None:
+    """Refuse a step that is not positive and finite, or too small to move lam by -/+ shift."""
     if not 0.0 < eps < math.inf:
         raise FiniteDifferenceStepError(
             f"finite-difference step must be positive and finite, got {eps}"
+        )
+    if np.any(lam + shift == lam - shift):
+        raise FiniteDifferenceStepError(
+            f"finite-difference step {eps} is too small to move the couplings "
+            f"{np.asarray(lam).tolist()}"
         )
 
 
@@ -123,7 +124,7 @@ def fidelity_qfi(
     pure-state expansion |<psi|psi'>|^2 = 1 - Q eps^2 / 4 + O(eps^3)
     fixes the prefactor.
     """
-    _check_step(eps)
+    _check_step(eps, lam, eps / 2.0)
     lo = family(lam - eps / 2.0).amplitudes
     hi = family(lam + eps / 2.0).amplitudes
     fidelity = abs(np.vdot(lo, hi)) ** 2
@@ -132,42 +133,46 @@ def fidelity_qfi(
     return 4.0 * (1.0 - fidelity) / eps**2
 
 
-def _derivative_moments(
-    family, lam: np.ndarray, eps: float, center: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _members(sample) -> tuple[np.ndarray, ...]:
+    """The amplitudes of a family sample: one state, or each of a tuple of states."""
+    states = (sample,) if isinstance(sample, StateVector) else sample
+    return tuple(state.amplitudes for state in states)
+
+
+def _aligned(v: np.ndarray, center: np.ndarray) -> np.ndarray:
+    overlap = complex(np.vdot(center, v))
+    if abs(overlap) < 1e-12:
+        raise FiniteDifferenceError(
+            "family sample orthogonal to the center state; cannot fix phase"
+        )
+    return v * np.conj(overlap / abs(overlap))
+
+
+def _derivative_moments(family, lam: np.ndarray, eps: float, centers: tuple) -> list[tuple]:
+    """Q and D at step eps of every member, from one pair of samples per coupling."""
     p = lam.size
-
-    def aligned(v: np.ndarray) -> np.ndarray:
-        overlap = complex(np.vdot(center, v))
-        if abs(overlap) < 1e-12:
-            raise FiniteDifferenceError(
-                "family sample orthogonal to the center state; cannot fix phase"
-            )
-        return v * np.conj(overlap / abs(overlap))
-
-    derivatives = []
+    derivatives: list[list[np.ndarray]] = [[] for _ in centers]
     for mu in range(p):
         shift = np.zeros(p)
         shift[mu] = eps / 2.0
-        hi = aligned(family(lam + shift).amplitudes)
-        lo = aligned(family(lam - shift).amplitudes)
-        derivatives.append((hi - lo) / eps)
+        samples = zip(centers, _members(family(lam + shift)), _members(family(lam - shift)))
+        for member, (center, hi, lo) in zip(derivatives, samples):
+            member.append((_aligned(hi, center) - _aligned(lo, center)) / eps)
 
-    geometric = np.empty((p, p), dtype=complex)
-    for i in range(p):
-        for j in range(p):
-            gauge = np.vdot(derivatives[i], center) * np.vdot(derivatives[j], center)
-            geometric[i, j] = np.vdot(derivatives[i], derivatives[j]) + gauge
-    q = 4.0 * geometric.real
-    d = 4.0 * geometric.imag
-    return 0.5 * (q + q.T), 0.5 * (d - d.T)
+    moments = []
+    for member, center in zip(derivatives, centers):
+        geometric = np.empty((p, p), dtype=complex)
+        for i in range(p):
+            for j in range(p):
+                gauge = np.vdot(member[i], center) * np.vdot(member[j], center)
+                geometric[i, j] = np.vdot(member[i], member[j]) + gauge
+        q = 4.0 * geometric.real
+        d = 4.0 * geometric.imag
+        moments.append((0.5 * (q + q.T), 0.5 * (d - d.T)))
+    return moments
 
 
-def fd_qfim(
-    family: Callable[[np.ndarray], StateVector],
-    lam,
-    eps: float = DEFAULT_FD_STEP,
-) -> tuple[QfiMatrix, UhlmannMatrix]:
+def fd_qfim(family, lam, eps: float = DEFAULT_FD_STEP):
     """Central-difference QFIM and Uhlmann curvature of a state family.
 
     Phases are fixed by positive overlap with the center state and the
@@ -175,48 +180,38 @@ def fd_qfim(
     robust to smooth lambda-dependent phases on the family.  The eps and
     eps/2 estimates must agree within 10%, which catches steps small
     enough for catastrophic cancellation; the finer estimate is returned.
+    A step too small to move some coupling is refused before any sample.
+
+    A family that returns a ``StateVector`` gives one ``(Q, D)`` pair.  A
+    family that returns a tuple of states gives a tuple of pairs in the
+    same order, every member differentiated from the same samples.
     """
-    _check_step(eps)
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 1:
         raise ValueError("lambda must be a 1-d coupling vector")
-    center = family(lam).amplitudes
-
-    q_coarse, d_coarse = _derivative_moments(family, lam, eps, center)
-    q_fine, d_fine = _derivative_moments(family, lam, eps / 2.0, center)
-
-    scale = max(float(np.max(np.abs(q_fine))), float(np.max(np.abs(d_fine))), FD_ABS_FLOOR)
-    disagreement = max(
-        float(np.max(np.abs(q_coarse - q_fine))),
-        float(np.max(np.abs(d_coarse - d_fine))),
-    )
-    if disagreement > FD_DISAGREEMENT_RTOL * scale:
-        raise FiniteDifferenceError(
-            f"step-halving disagreement {disagreement:.3e} exceeds 10% of "
-            f"scale {scale:.3e}; adjust eps"
+    _check_step(eps, lam, eps / 4.0)  # the finest samples sit at lam_mu -/+ eps/4
+    sample = family(lam)
+    centers = _members(sample)
+    coarse = _derivative_moments(family, lam, eps, centers)
+    fine = _derivative_moments(family, lam, eps / 2.0, centers)
+    pairs = []
+    for (q_coarse, d_coarse), (q_fine, d_fine) in zip(coarse, fine):
+        scale = max(float(np.max(np.abs(q_fine))), float(np.max(np.abs(d_fine))), FD_ABS_FLOOR)
+        disagreement = max(
+            float(np.max(np.abs(q_coarse - q_fine))),
+            float(np.max(np.abs(d_coarse - d_fine))),
         )
-    return QfiMatrix(q_fine), UhlmannMatrix(d_fine)
+        if disagreement > FD_DISAGREEMENT_RTOL * scale:
+            raise FiniteDifferenceError(
+                f"step-halving disagreement {disagreement:.3e} exceeds 10% of "
+                f"scale {scale:.3e}; adjust eps"
+            )
+        pairs.append((QfiMatrix(q_fine), UhlmannMatrix(d_fine)))
+    return pairs[0] if isinstance(sample, StateVector) else tuple(pairs)
 
 
-def exact_evolved_family(
-    p: PerturbationProblem, psi0: StateVector, t: float
-) -> Callable[[np.ndarray], StateVector]:
-    """Map lambda -> exp(-i H(lambda) t)|psi0> by exact diagonalization."""
-    return exact_families(p, psi0, t)[1]
-
-
-def exact_families(
-    p: PerturbationProblem, psi0: StateVector, t: float
-) -> tuple[Callable[[np.ndarray], StateVector], Callable[[np.ndarray], StateVector]]:
-    """The eigenstate and evolved families of one problem, one solve per lambda.
-
-    Each solve of H(lambda) by the eigenstate family also yields the
-    evolved state there, which is held (one vector per lambda) until the
-    evolved family asks for it; at any other lambda the evolved family
-    solves for itself.  Either family returns the same bits as
-    ``exact_eigenstate_family(p)`` and ``exact_evolved_family(p, psi0, t)``,
-    whatever the call order.
-    """
+def _evolver(p: PerturbationProblem, psi0: StateVector, t: float) -> Callable[..., StateVector]:
+    """The map from an ``eigh`` pair of H(lambda) to exp(-i H(lambda) t)|psi0>."""
     if psi0.dim != p.dim:
         raise DimensionMismatchError(
             f"probe dimension {psi0.dim} does not match problem dimension {p.dim}"
@@ -224,25 +219,36 @@ def exact_families(
     if not math.isfinite(t):
         raise ValueError(f"interaction time must be finite, got {t}")
     amplitudes = psi0.amplitudes
-    # keyed by shape too, so a misshapen lambda with the same bytes is
-    # still refused by the solve
-    evolved_at: dict[tuple[tuple[int, ...], bytes], StateVector] = {}
 
     def evolve(vals: np.ndarray, vecs: np.ndarray) -> StateVector:
         coeffs = vecs.conj().T @ amplitudes
         return StateVector(vecs @ (np.exp(-1j * vals * t) * coeffs))
 
-    def eigenstate(lambdas) -> StateVector:
+    return evolve
+
+
+def exact_evolved_family(
+    p: PerturbationProblem, psi0: StateVector, t: float
+) -> Callable[[np.ndarray], StateVector]:
+    """Map lambda -> exp(-i H(lambda) t)|psi0> by exact diagonalization."""
+    evolve = _evolver(p, psi0, t)
+    return lambda lambdas: evolve(*_solve(p, lambdas))
+
+
+def exact_families(
+    p: PerturbationProblem, psi0: StateVector, t: float
+) -> Callable[[np.ndarray], tuple[StateVector, StateVector]]:
+    """Map lambda -> (tracked eigenstate, evolved probe), both from one solve of H(lambda).
+
+    The members are bit for bit ``exact_eigenstate(p, lambda)`` and
+    ``exact_evolved_family(p, psi0, t)(lambda)``; :func:`fd_qfim` of this
+    family gives both schemes' (Q, D) for the solves of one.
+    """
+    evolve = _evolver(p, psi0, t)
+
+    def family(lambdas) -> tuple[StateVector, StateVector]:
         lam = np.asarray(lambdas, dtype=float)
+        vals, vecs = _solve(p, lam)
+        return _tracked(p, lam, vecs), evolve(vals, vecs)
 
-        def keep(vals, vecs):
-            evolved_at[lam.shape, lam.tobytes()] = evolve(vals, vecs)
-
-        return exact_eigenstate(p, lam, on_solve=keep)
-
-    def evolved(lambdas) -> StateVector:
-        lam = np.asarray(lambdas, dtype=float)
-        state = evolved_at.pop((lam.shape, lam.tobytes()), None)
-        return evolve(*_solve(p, lam)) if state is None else state
-
-    return eigenstate, evolved
+    return family

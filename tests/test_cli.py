@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from perturbsense import cli, errors
 from perturbsense.cli import main
 
 from helpers import count_eigh, force_complex_couplings, force_complex_eigh
@@ -121,6 +122,20 @@ class TestDynamicCommand:
         assert_flag_rejected(
             capsys, "dynamic", "--model", "qubit", "--time", "1", "--phi", "nan"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dynamic", "--model", "anharmonic", "--time", "1e160"],
+            ["scan", "--model", "anharmonic", "--t-min", "0", "--t-max", "1e307", "--t-steps", "3"],
+            ["dynamic", "--model", "qubit", "--time", "1e308"],
+        ],
+        ids=["anharmonic-1e160", "anharmonic-scan-1e307", "qubit-1e308"],
+    )
+    def test_huge_time_reports_without_warning(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out and err == ""
 
 
 class TestScanCommand:
@@ -442,6 +457,34 @@ class TestOracleCheckCommand:
         assert len(calls) == expected
         # the anharmonic H0 and every H(lambda) are real, so none takes the complex path
         assert {dtype for _, dtype in calls} == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("eps", ["5e-324", "1e-19"])
+    def test_step_below_the_couplings_resolution_refused(self, capsys, eps):
+        # 1e-3 -/+ eps/4 both round to 1e-3, so the oracle would see a flat family
+        code, out, err = run_cli(
+            capsys, "oracle-check", "--model", "qubit", "--lambda", "1e-3", "--eps", eps
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: finite-difference step {float(eps)} is too small")
+        assert "Traceback" not in err and "Warning" not in err
+
+
+class TestExitStatus:
+    @pytest.mark.parametrize("name", errors.__all__)
+    def test_every_package_error_maps_to_an_exit_code(self, capsys, monkeypatch, name):
+        # bad input (the errors that are also ValueErrors) exits 2, the rest 3
+        error = getattr(errors, name)
+
+        def raising(args):
+            raise error("boom")
+
+        monkeypatch.setitem(cli._RUNNERS, "static", raising)
+        code, out, err = run_cli(capsys, "static", "--model", "qubit")
+        assert code == (2 if issubclass(error, ValueError) else 3)
+        assert out == ""
+        assert err.endswith("boom\n")
+        assert "Traceback" not in err
 
 
 def write_real_model(path, h0, couplings) -> str:

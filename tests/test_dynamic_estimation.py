@@ -595,3 +595,15 @@ class TestProbeSpaceEngine:
                 dynamic_report(QUBIT1, models.qubit_probe(0, 0), t)
         with pytest.raises(DimensionMismatchError):
             dynamic_report(ANHARMONIC, models.qubit_probe(0, 0), 1.0)
+
+
+class TestLongTimes:
+    @pytest.mark.parametrize("t", [1e6, 1e8, 1e10, 1e12])
+    def test_vacuum_matches_closed_form(self, t):
+        # the zero-gap term's part along the probe grows as t but is only a
+        # phase; kept, its square cancelled in Q22 until Q22 read 0 at 1e10
+        q = dynamic_report(ANHARMONIC, VACUUM, t).qfim.entries
+        q11, q22, q12 = models.reference_anharmonic_dynamic(t)
+        assert q[0, 0] == pytest.approx(q11, rel=1e-12)
+        assert q[1, 1] == pytest.approx(q22, rel=1e-12)
+        assert abs(q[0, 1] - q12) <= 1e-12 * q11

@@ -180,13 +180,12 @@ class TestSharedSolve:
     T = 1.3
 
     @pytest.mark.parametrize("case", shared_solve_cases(), ids=lambda c: c[0])
-    def test_joint_families_match_separate_ones(self, monkeypatch, case):
-        # the evolved state comes from the eigenstate sample's own solve, so
-        # it is the same column of the same eigh as a separate solve gives
+    def test_joint_family_matches_separate_ones(self, monkeypatch, case):
+        # both members come from the sample's one solve, so they are the same
+        # columns of the same eigh as the separate families' solves give
         _, problem, probe = case
         problem.spectral
-        eigenstates, evolved = oracle.exact_families(problem, probe, self.T)
-        separate_eigenstate = oracle.exact_eigenstate_family(problem)
+        joint = oracle.exact_families(problem, probe, self.T)
         separate_evolved = oracle.exact_evolved_family(problem, probe, self.T)
         rng = np.random.default_rng(12)
         for lam in (
@@ -196,69 +195,52 @@ class TestSharedSolve:
         ):
             with monkeypatch.context() as m:
                 calls = count_eigh(m)
-                state = eigenstates(lam).amplitudes
+                state, evolved = joint(lam)
                 assert len(calls) == 1
-                shared = evolved(lam).amplitudes
-                assert len(calls) == 1
-            assert np.array_equal(state, separate_eigenstate(lam).amplitudes)
-            assert np.array_equal(shared, separate_evolved(lam).amplitudes)
-
-    @pytest.mark.parametrize("case", shared_solve_cases(), ids=lambda c: c[0])
-    def test_evolved_family_independent_of_call_order(self, monkeypatch, case):
-        _, problem, probe = case
-        problem.spectral
-        lam = np.full(problem.num_parameters, 1e-3)
-        unseen = np.full(problem.num_parameters, -2e-3)
-        expected = oracle.exact_evolved_family(problem, probe, self.T)
-        eigenstates, evolved = oracle.exact_families(problem, probe, self.T)
-        calls = count_eigh(monkeypatch)
-        first = evolved(lam).amplitudes
-        eigenstates(lam)
-        again = evolved(lam).amplitudes
-        eigenstates(lam)
-        elsewhere = evolved(unseen).amplitudes
-        # evolved first solves for itself, the eigenstate sample solves again
-        # and hands its state over, which is used once, and an unseen lambda
-        # is solved afresh
-        assert len(calls) == 4
-        assert np.array_equal(first, expected(lam).amplitudes)
-        assert np.array_equal(again, first)
-        assert np.array_equal(elsewhere, expected(unseen).amplitudes)
+            expected = oracle.exact_eigenstate(problem, lam).amplitudes
+            assert np.array_equal(state.amplitudes, expected)
+            assert np.array_equal(evolved.amplitudes, separate_evolved(lam).amplitudes)
 
     def test_fd_qfim_matches_separate_families(self, monkeypatch):
         problem = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
         probe = models.vacuum_state(problem.dim)
         lam = np.array([1e-3, -1e-3])
-        q_ref, d_ref = oracle.fd_qfim(oracle.exact_evolved_family(problem, probe, self.T), lam)
-        eigenstates, evolved = oracle.exact_families(problem, probe, self.T)
-        oracle.fd_qfim(eigenstates, lam)
+        problem.spectral
+        with monkeypatch.context() as m:
+            calls = count_eigh(m)
+            separate = (
+                oracle.fd_qfim(oracle.exact_eigenstate_family(problem), lam),
+                oracle.fd_qfim(oracle.exact_evolved_family(problem, probe, self.T), lam),
+            )
+            assert len(calls) == 18
         calls = count_eigh(monkeypatch)
-        q, d = oracle.fd_qfim(evolved, lam)
-        assert calls == []
-        assert np.array_equal(q.entries, q_ref.entries)
-        assert np.array_equal(d.entries, d_ref.entries)
+        joint = oracle.fd_qfim(oracle.exact_families(problem, probe, self.T), lam)
+        assert len(calls) == 9  # the center and 2 x 2 samples per coupling
+        assert len(joint) == 2
+        for (q, d), (q_ref, d_ref) in zip(joint, separate):
+            assert np.array_equal(q.entries, q_ref.entries)
+            assert np.array_equal(d.entries, d_ref.entries)
 
     def test_avoided_crossing_walks_and_shares_endpoint(self, monkeypatch):
         problem = avoided_crossing_problem()
         problem.spectral
         probe = StateVector(np.array([1.0, 1.0j]) / math.sqrt(2.0))
         lam = np.array([0.5])
-        eigenstates, evolved = oracle.exact_families(problem, probe, self.T)
+        joint = oracle.exact_families(problem, probe, self.T)
         calls = count_eigh(monkeypatch)
-        state = eigenstates(lam).amplitudes
+        state, evolved = joint(lam)
+        # the walk's last solve is the one at lambda, which the evolved probe shares
         assert len(calls) == oracle.PATH_STEPS
-        shared = evolved(lam).amplitudes
-        assert len(calls) == oracle.PATH_STEPS
-        assert np.array_equal(state, oracle.exact_eigenstate(problem, lam).amplitudes)
+        assert np.array_equal(state.amplitudes, oracle.exact_eigenstate(problem, lam).amplitudes)
         expected = oracle.exact_evolved_family(problem, probe, self.T)(lam).amplitudes
-        assert np.array_equal(shared, expected)
+        assert np.array_equal(evolved.amplitudes, expected)
 
-    def test_misshapen_lambda_still_rejected(self):
-        # a (1, 1) lambda has the bytes of the shared (1,) sample
-        eigenstates, evolved = oracle.exact_families(QUBIT1, models.qubit_probe(0, 0), self.T)
-        eigenstates(np.array([1e-3]))
+    def test_misshapen_lambda_rejected(self):
+        # a (1, 1) lambda has the bytes of a valid (1,) one
+        joint = oracle.exact_families(QUBIT1, models.qubit_probe(0, 0), self.T)
+        joint(np.array([1e-3]))
         with pytest.raises(ValueError, match="couplings"):
-            evolved(np.array([[1e-3]]))
+            joint(np.array([[1e-3]]))
 
 
 class TestFidelityQfi:
@@ -401,6 +383,34 @@ class TestBadStep:
         family = oracle.exact_eigenstate_family(QUBIT1)
         with pytest.raises(ValueError, match="finite-difference step"):
             oracle.fidelity_qfi(lambda l: family(np.array([l])), 1e-3, eps)
+
+    @pytest.mark.parametrize(
+        "lam, eps",
+        [([1e-3], 5e-324), ([1e-3], 1e-19), ([0.0, 1.0], 1e-16)],
+    )
+    def test_step_too_small_to_move_a_coupling(self, lam, eps):
+        # lambda_mu -/+ eps/4 round to one value, so the finest samples would
+        # coincide; the step is refused before the family is sampled
+        calls = []
+
+        def family(lam):
+            calls.append(lam)
+            return StateVector(np.ones(2))
+
+        with pytest.raises(FiniteDifferenceStepError, match="too small to move"):
+            oracle.fd_qfim(family, np.array(lam), eps=eps)
+        assert calls == []
+
+    def test_fidelity_qfi_step_too_small(self):
+        calls = []
+
+        def family(lam):
+            calls.append(lam)
+            return StateVector(np.ones(2))
+
+        with pytest.raises(FiniteDifferenceStepError, match="too small to move"):
+            oracle.fidelity_qfi(family, 1.0, 1e-17)
+        assert calls == []
 
     @pytest.mark.parametrize("eps", [0.0, -1e-4, math.nan, math.inf])
     def test_step_error_is_typed(self, eps):
