@@ -17,9 +17,9 @@ H~_mu of each coupling, and one (d x d) @ (d x T) product per coupling,
 O(P d^2 T) in all.  The H~_mu are the problem's coupling stack
 :attr:`PerturbationProblem.couplings`, built once and held for the
 problem's lifetime (P d^2 numbers, 16 MB at d = 1024 and P = 2 in real
-arithmetic).  For a real model the stack is float64, M_mu is purely
-imaginary, and the product is a real (d x d) @ (d x 2T) one, half the
-flops of the complex product.
+arithmetic).  A real model's operators are stored as float64, so its
+stack is float64, M_mu is purely imaginary, and the product is a real
+(d x d) @ (d x 2T) one, half the flops of the complex product.
 
 Pairs with g = 0 exactly (the diagonal and exactly degenerate levels)
 have K~_ij(t) = H~_ij t: they enter as one rank-1 term t (H~ o Z) c per

@@ -139,10 +139,10 @@ def build(spec: ModelSpec) -> PerturbationProblem:
         a = lowering_operator(dim)
         h0 = a.conj().T @ a + 0.5 * np.eye(dim, dtype=complex)
         x = position_operator(dim)
-        # the products matrix_power forms, with x^2 formed once; complex
-        # throughout, since a real product rounds differently at some sizes.
-        # x^2 is released before the operators are checked, so the peak
-        # memory of the build holds no extra d x d matrix
+        # the products matrix_power forms, x^2 once, in complex arithmetic
+        # (a real product rounds differently at some sizes; HermitianOperator
+        # stores them as float64).  x^2 is released before the operators are
+        # checked, so the peak memory of the build holds no extra d x d matrix
         x2 = x @ x
         x3 = x2 @ x
         x4 = x2 @ x2

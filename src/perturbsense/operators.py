@@ -1,4 +1,4 @@
-"""Dense complex operator primitives shared by every estimation module.
+"""Dense operator primitives shared by every estimation module.
 
 Hermitian matrices with validated construction, state vectors, spectral
 decompositions with deterministic eigenvector phases and their
@@ -30,7 +30,6 @@ __all__ = [
     "SpectralDecomposition",
     "StateVector",
     "complex_matrix",
-    "eigh",
     "hermitian_eig",
     "geometric_tensor",
     "integrate_operator",
@@ -85,13 +84,28 @@ def complex_matrix(entries) -> np.ndarray:
     return _require_finite(m)
 
 
+def _is_real(m: np.ndarray) -> bool:
+    """True when no entry of ``m`` has a nonzero imaginary part (zeros of either sign count)."""
+    return not (np.iscomplexobj(m) and m.imag.any())
+
+
+def _narrowed(m: np.ndarray) -> np.ndarray:
+    """``m`` as float64 when it is real, as it is otherwise."""
+    return np.ascontiguousarray(m.real) if _is_real(m) else m
+
+
 class HermitianOperator:
-    """Square complex matrix verified Hermitian at construction."""
+    """Square matrix verified Hermitian at construction.
+
+    ``matrix`` is float64 when no entry has a nonzero imaginary part and
+    complex128 otherwise: the package's one decision that a matrix is
+    real, which every solve and product downstream reads from the dtype.
+    """
 
     __slots__ = ("_matrix", "_max_abs")
 
     def __init__(self, matrix):
-        m = complex_matrix(matrix)
+        m = _narrowed(complex_matrix(matrix))
         scale = float(np.max(np.abs(m)))
         deviation = float(np.max(np.abs(m - m.conj().T)))
         if deviation > HERMITICITY_RTOL * scale:
@@ -104,14 +118,14 @@ class HermitianOperator:
 
     @classmethod
     def _from_sum(cls, matrix: np.ndarray) -> "HermitianOperator":
-        """Wrap, without a copy, a real combination of validated operators.
+        """Wrap a real combination of validated operators, copied only to narrow it.
 
         Such a sum is Hermitian by construction, so only finiteness is
         checked: an overflowing sum or a non-finite coefficient raises the
         ``ValueError`` of the public constructor.
         """
         op = cls.__new__(cls)
-        op._matrix = _frozen(_require_finite(matrix))
+        op._matrix = _frozen(_narrowed(_require_finite(matrix)))
         op._max_abs = None
         return op
 
@@ -171,6 +185,7 @@ class SpectralDecomposition:
     of norm 1 + e shows as about 2e, and an overlap c between two columns
     as sqrt(2) |c|, so any single defect the entrywise Gram bound
     max|V^dag V - I| <= ``ORTHONORMALITY_ATOL`` would refuse is refused.
+    Real columns are kept as float64, others as complex128.
     """
 
     eigenvalues: np.ndarray
@@ -178,7 +193,8 @@ class SpectralDecomposition:
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=float)
-        vecs = np.asarray(self.eigenvectors, dtype=complex)
+        vecs = np.asarray(self.eigenvectors)
+        vecs = np.asarray(vecs, dtype=complex if np.iscomplexobj(vecs) else float)
         if vals.ndim != 1 or vecs.shape != (vals.size, vals.size):
             raise DimensionMismatchError(
                 f"{vals.shape} eigenvalues need a square matrix of as many "
@@ -213,29 +229,15 @@ class SpectralDecomposition:
         return (self.eigenvectors * phases[None, :]) @ self.eigenvectors.conj().T
 
 
-def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh`` of a Hermitian matrix, in real arithmetic when it is real.
-
-    A matrix whose imaginary parts are all zero (of either sign) is real
-    symmetric, and LAPACK's real solver takes its spectrum in a half
-    (d = 128) to a fifth (d = 1024) of the complex solver's time.  The
-    eigenvectors come back complex either way.  Every eigensolve in the
-    package goes through here, and each reaches ``np.linalg.eigh``, looked
-    up at call time, exactly once.
-    """
-    if m.imag.any():
-        return np.linalg.eigh(m)
-    vals, vecs = np.linalg.eigh(m.real)
-    return vals, vecs.astype(complex)
-
-
 def hermitian_eig(a: HermitianOperator) -> SpectralDecomposition:
     """Spectral decomposition with ascending eigenvalues and fixed phases.
 
-    The solve is :func:`eigh`'s, in real arithmetic when ``a`` is real.
+    ``np.linalg.eigh`` solves ``a.matrix`` in its own dtype, so a real
+    operator takes LAPACK's real solver and gets float64 eigenvectors.
     Each eigenvector's phase is chosen so that its largest-magnitude
-    component is real and positive, which makes the output deterministic
-    and keeps finite differences on eigenvector families stable.
+    component is real and positive (a sign, for real columns), which
+    makes the output deterministic and keeps finite differences on
+    eigenvector families stable.
 
     The result is checked in O(d^2) on the probe chirp y: the residual
     ||A (V y) - V (Lambda y)|| = ||sum_k y_k (A v_k - lambda_k v_k)|| must
@@ -248,7 +250,7 @@ def hermitian_eig(a: HermitianOperator) -> SpectralDecomposition:
     as does a spread E_max - E_min that overflows.
     """
     try:
-        vals, vecs = eigh(a.matrix)
+        vals, vecs = np.linalg.eigh(a.matrix)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(
             f"eigensolver failed to converge (dim={a.dim}, max|A|={a._scale():.3e})"

@@ -20,7 +20,7 @@ from .errors import (
     FiniteDifferenceStepError,
     LevelTrackingError,
 )
-from .operators import StateVector, eigh
+from .operators import StateVector
 from .perturbation import PerturbationProblem
 from .static_estimation import QfiMatrix, UhlmannMatrix
 
@@ -43,8 +43,8 @@ FD_ABS_FLOOR = 1e-9
 
 
 def _solve(p: PerturbationProblem, lam) -> tuple[np.ndarray, np.ndarray]:
-    """The ``eigh`` pair of ``p.hamiltonian(lam)``: every oracle eigensolve of H(lambda)."""
-    return eigh(p.hamiltonian(lam).matrix)
+    """The ``np.linalg.eigh`` pair of ``p.hamiltonian(lam)``: every oracle eigensolve of H(lambda)."""
+    return np.linalg.eigh(p.hamiltonian(lam).matrix)
 
 
 def exact_eigenstate(p: PerturbationProblem, lambdas) -> StateVector:

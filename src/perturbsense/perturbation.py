@@ -48,9 +48,12 @@ LAMBDA_WARN_NORM = 0.1
 _TWO_PI = 2.0 * math.pi
 
 
-def _real(*arrays) -> bool:
-    """True when no array has a nonzero imaginary part (zeros of either sign count)."""
-    return not any(a.imag.any() for a in arrays)
+def _coupling_vector(lambdas, num_parameters: int) -> np.ndarray:
+    """``lambdas`` as a float vector of one coupling per parameter."""
+    lam = np.asarray(lambdas, dtype=float)
+    if lam.shape != (num_parameters,):
+        raise ValueError(f"expected {num_parameters} couplings, got shape {lam.shape}")
+    return lam
 
 
 def _mod_two_pi(x: float) -> float:
@@ -106,21 +109,18 @@ class PerturbationProblem:
     def couplings(self) -> np.ndarray:
         """The couplings in the H0 eigenbasis, H~_mu = V^dag H_mu V, shape (P, d, d).
 
-        float64 when V and every H_mu have no nonzero imaginary part (a real
-        H0 takes the real eigensolver, whose V is real up to the +-1 phase
-        fix), complex otherwise.  Built on first use and kept, read-only,
-        for the problem's lifetime: P d^2 numbers, 16 MB at d = 1024 and
-        P = 2 in real arithmetic.  Only the dynamical engine reads it; the
-        static path takes the O(d^2) columns of :func:`first_order_correction`.
+        float64 when H0 and every H_mu are real, complex otherwise.  Built
+        on first use and kept, read-only, for the problem's lifetime: P d^2
+        numbers, 16 MB at d = 1024 and P = 2 in real arithmetic.  Only the
+        dynamical engine reads it; the static path takes the O(d^2) columns
+        of :func:`first_order_correction`.
         """
         vectors = self.spectral.eigenvectors
-        real = _real(vectors, *(h.matrix for h in self.perturbations))
-        if real:
-            vectors = np.ascontiguousarray(vectors.real)
         adjoint = vectors.conj().T
-        stack = np.empty((self.num_parameters, self.dim, self.dim), dtype=vectors.dtype)
-        for h, out in zip(self.perturbations, stack):
-            m = np.ascontiguousarray(h.matrix.real) if real else h.matrix
+        matrices = [h.matrix for h in self.perturbations]
+        dtype = np.result_type(vectors, *matrices)
+        stack = np.empty((self.num_parameters, self.dim, self.dim), dtype=dtype)
+        for m, out in zip(matrices, stack):
             np.matmul(adjoint @ m, vectors, out=out)
         stack.setflags(write=False)
         return stack
@@ -133,18 +133,15 @@ class PerturbationProblem:
         return other
 
     def hamiltonian(self, lambdas) -> HermitianOperator:
-        """Assemble h0 + sum_mu lambda_mu H_mu."""
-        lam = np.asarray(lambdas, dtype=float)
-        if lam.shape != (self.num_parameters,):
-            raise ValueError(
-                f"expected {self.num_parameters} couplings, got shape {lam.shape}"
-            )
-        total = np.array(self.h0.matrix)
+        """Assemble h0 + sum_mu lambda_mu H_mu, in the dtype of its operators."""
+        lam = _coupling_vector(lambdas, self.num_parameters)
+        h0, *hs = (h.matrix for h in (self.h0, *self.perturbations))
+        total = np.array(h0, dtype=np.result_type(h0, *hs))
         # A nan or inf coupling, or an overflowing sum, is refused by
         # _from_sum as a non-finite entry, without a RuntimeWarning first.
         with np.errstate(over="ignore", invalid="ignore"):
-            for value, h in zip(lam, self.perturbations):
-                total += value * h.matrix
+            for value, m in zip(lam, hs):
+                total += value * m
         return HermitianOperator._from_sum(total)
 
 
@@ -320,11 +317,7 @@ def angle_decomposition(
 
 def perturbed_state(p: PerturbationProblem, lambdas) -> StateVector:
     """First-order perturbed eigenstate |psi0> + sum_mu lambda_mu |psi1_mu>, normalized."""
-    lam = np.asarray(lambdas, dtype=float)
-    if lam.shape != (p.num_parameters,):
-        raise ValueError(
-            f"expected {p.num_parameters} couplings, got shape {lam.shape}"
-        )
+    lam = _coupling_vector(lambdas, p.num_parameters)
     if np.linalg.norm(lam) > LAMBDA_WARN_NORM:
         warnings.warn(
             f"|lambda| = {np.linalg.norm(lam):.3g} is outside the weak-coupling "

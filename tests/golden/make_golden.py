@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
 
 from perturbsense.cli import main
@@ -25,6 +26,11 @@ MODELS = (
     (["--model", "qutrit", "--alpha", "1.2"], ["1e-3", "-1e-3"]),
     (["--model", "anharmonic", "--fock-dim", "16"], ["1e-3", "-1e-3"]),
     (["--model", "anharmonic", "--fock-dim", "128"], ["1e-3", "-1e-3"]),
+    # model files, read from this directory: a dense real one, whose real
+    # products round differently from complex ones, and a real H0 with one
+    # complex coupling
+    (["--model", "dense_real.json"], ["1e-3", "-1e-3"]),
+    (["--model", "real_h0_complex_coupling.json"], ["1e-3", "-1e-3"]),
 )
 
 
@@ -59,6 +65,7 @@ def run(argv: list[str]) -> tuple[int, str]:
 
 
 def write() -> int:
+    os.chdir(GOLDEN.parent)  # where the model files are
     records = []
     for argv in cases():
         code, stdout = run(argv)

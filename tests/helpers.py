@@ -37,26 +37,16 @@ def count_eigh(monkeypatch) -> list:
     return calls
 
 
-def force_complex_eigh(monkeypatch) -> None:
-    """Make the package solve every matrix in complex arithmetic, real or not.
+def force_complex(monkeypatch) -> None:
+    """Make every ``HermitianOperator`` built from now on keep a complex matrix.
 
-    Both holders of ``operators.eigh`` are patched; the replacement still
-    reaches ``np.linalg.eigh`` at call time, so ``count_eigh`` sees it.
+    The package decides in one predicate, ``operators._is_real``, whether a
+    matrix is stored as float64; with it false, every solve and coupling
+    stack of an operator built after this call runs in complex arithmetic.
     """
-    from perturbsense import operators, oracle
+    from perturbsense import operators
 
-    def complex_eigh(m):
-        return np.linalg.eigh(m)
-
-    monkeypatch.setattr(operators, "eigh", complex_eigh)
-    monkeypatch.setattr(oracle, "eigh", complex_eigh)
-
-
-def force_complex_couplings(monkeypatch) -> None:
-    """Make ``PerturbationProblem.couplings`` take its complex path, real model or not."""
-    from perturbsense import perturbation
-
-    monkeypatch.setattr(perturbation, "_real", lambda *arrays: False)
+    monkeypatch.setattr(operators, "_is_real", lambda m: False)
 
 
 def count_eigvalsh(monkeypatch) -> list:

@@ -16,7 +16,7 @@ import pytest
 from perturbsense import cli, errors
 from perturbsense.cli import main
 
-from helpers import count_eigh, force_complex_couplings, force_complex_eigh
+from helpers import count_eigh, force_complex
 
 B_STATIC_ANHARMONIC = 466.0 / 1131.0
 
@@ -538,7 +538,7 @@ class TestRealArithmetic:
             return texts, {dtype for _, dtype in calls}
 
         real, real_dtypes = outputs()
-        force_complex_eigh(monkeypatch)
+        force_complex(monkeypatch)
         forced, forced_dtypes = outputs()
         assert real_dtypes == {np.dtype(np.float64)}
         assert forced_dtypes == {np.dtype(np.complex128)}
@@ -557,7 +557,7 @@ class TestRealArithmetic:
             args = ["--model", "anharmonic", "--fock-dim", model.split("-")[1]]
         argv = ["oracle-check", *args, "--lambda", "1e-3", "-1e-3", "--time", "1.3"]
         real = json_run(capsys, *argv)["checks"]
-        force_complex_eigh(monkeypatch)
+        force_complex(monkeypatch)
         forced = json_run(capsys, *argv)["checks"]
         assert [c["name"] for c in real] == [c["name"] for c in forced]
         for a, b in zip(real, forced):
@@ -574,7 +574,7 @@ class TestRealArithmetic:
         model = write_real_model(tmp_path / "m.json", 0.5 * (h0 + h0.T), real_couplings(rng, 6))
         argv = ["oracle-check", "--model", model, "--lambda", "1e-3", "-1e-3", "--time", "1.3"]
         real = json_run(capsys, *argv)["checks"]
-        force_complex_eigh(monkeypatch)
+        force_complex(monkeypatch)
         forced = json_run(capsys, *argv)["checks"]
         for a, b in zip(real, forced):
             for column, rtol in (("engine", 1e-13), ("oracle", 1e-9)):
@@ -622,7 +622,7 @@ class TestRealCouplings:
             return texts, set(dtypes)
 
         real, real_dtypes = outputs()
-        force_complex_couplings(monkeypatch)
+        force_complex(monkeypatch)
         forced, forced_dtypes = outputs()
         assert real_dtypes == {np.dtype(np.float64), np.dtype(np.complex128)}
         assert forced_dtypes == {np.dtype(np.complex128)}
@@ -634,7 +634,7 @@ class TestRealCouplings:
         argv = ["oracle-check", "--model", "anharmonic", "--fock-dim", fock_dim,
                 "--lambda", "1e-3", "-1e-3", "--time", "1.3"]
         real = json_run(capsys, *argv)["checks"]
-        force_complex_couplings(monkeypatch)
+        force_complex(monkeypatch)
         forced = json_run(capsys, *argv)["checks"]
         assert [c["name"] for c in real] == [c["name"] for c in forced]
         assert [c["engine"] for c in real] == [c["engine"] for c in forced]

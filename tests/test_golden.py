@@ -14,13 +14,13 @@ import pytest
 
 from perturbsense.cli import main
 
-CASES = json.loads(
-    (Path(__file__).parent / "golden" / "cli_outputs.json").read_text(encoding="utf-8")
-)
+GOLDEN = Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN / "cli_outputs.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join(case["argv"]))
-def test_default_output_is_byte_identical(capsys, case):
+def test_default_output_is_byte_identical(capsys, monkeypatch, case):
+    monkeypatch.chdir(GOLDEN)  # model files are named relative to it
     code = main(case["argv"])
     captured = capsys.readouterr()
     assert code == 0, captured.err

@@ -23,7 +23,7 @@ from perturbsense import models, operators
 from perturbsense.models import ModelKind, ModelSpec, pauli_matrices, spin1_matrices
 from perturbsense.operators import ORTHONORMALITY_ATOL, RESIDUAL_RTOL
 
-from helpers import count_eigh, force_complex_eigh, random_hermitian, random_state
+from helpers import count_eigh, force_complex, random_hermitian, random_state
 
 SX, SY, SZ = pauli_matrices()
 
@@ -131,42 +131,71 @@ def _real_solve_cases():
 
 
 class TestRealPath:
-    """A matrix with no nonzero imaginary part is solved in real arithmetic."""
+    """A matrix with no nonzero imaginary part is stored as float64 and solved in real arithmetic."""
 
     @pytest.mark.parametrize("a", _real_solve_cases())
     def test_real_matrix_reaches_eigh_as_float64(self, monkeypatch, a):
+        op = HermitianOperator(a)
         calls = count_eigh(monkeypatch)
-        dec = hermitian_eig(HermitianOperator(a))
+        dec = hermitian_eig(op)
+        assert op.matrix.dtype == np.float64
         assert calls == [(a.shape, np.float64)]
-        assert dec.eigenvectors.dtype == np.complex128
+        assert dec.eigenvectors.dtype == np.float64
 
     @pytest.mark.parametrize("tiny", [1e-300, 5e-324])
     def test_one_imaginary_entry_takes_the_complex_path(self, monkeypatch, tiny):
+        """Both doors keep the entry: the checked constructor and a sum H(lambda)."""
         a = random_real_symmetric(np.random.default_rng(4), 4)
         a[0, 2] += 1j * tiny
         a[2, 0] -= 1j * tiny
+        ops = (HermitianOperator(a), HermitianOperator._from_sum(a.copy()))
         calls = count_eigh(monkeypatch)
-        hermitian_eig(HermitianOperator(a))
-        operators.eigh(a)
+        for op in ops:
+            assert op.matrix.dtype == np.complex128
+            assert op.matrix[0, 2].imag == tiny
+            assert hermitian_eig(op).eigenvectors.dtype == np.complex128
         assert calls == [((4, 4), np.complex128)] * 2
 
     def test_signed_zero_imaginary_parts_count_as_real(self, monkeypatch):
+        """All +0, all -0, or a mix: both doors store the real part as float64."""
         a = random_real_symmetric(np.random.default_rng(5), 5)
-        a.imag[np.triu_indices(5)] = -0.0
-        assert np.signbit(a.imag).any()
+        negative, mixed = a.copy(), a.copy()
+        negative.imag[...] = -0.0
+        mixed.imag[np.triu_indices(5)] = -0.0
+        assert np.signbit(negative.imag).all() and np.signbit(mixed.imag).any()
         calls = count_eigh(monkeypatch)
-        hermitian_eig(HermitianOperator(a))
-        assert calls == [((5, 5), np.float64)]
+        for m in (a, negative, mixed):
+            for op in (HermitianOperator(m), HermitianOperator._from_sum(m.copy())):
+                assert op.matrix.dtype == np.float64
+                assert np.array_equal(op.matrix, a.real)
+                hermitian_eig(op)
+        assert calls == [((5, 5), np.float64)] * 6
+
+    def test_hamiltonian_is_real_while_no_complex_coupling_is_on(self):
+        """qubit2's second coupling holds sigma_y: H(lambda) is complex only when it is on."""
+        p = models.build(ModelSpec(ModelKind.QUBIT_2PARAM, alpha=0.7))
+        assert p.hamiltonian([0.1, 0.0]).matrix.dtype == np.float64
+        assert p.hamiltonian([0.0, 0.1]).matrix.dtype == np.complex128
+
+    def test_spectral_decomposition_takes_list_and_int_input(self):
+        dec = SpectralDecomposition([0, 1], [[1, 0], [0, 1]])
+        assert dec.eigenvalues.dtype == np.float64
+        assert dec.eigenvectors.dtype == np.float64
+        assert np.array_equal(dec.eigenvectors, np.eye(2))
+        dec = SpectralDecomposition([0, 1], [[1, 0], [0, 1j]])
+        assert dec.eigenvectors.dtype == np.complex128
+        assert dec.eigenvectors[1, 1] == 1j
 
     @pytest.mark.parametrize("a", _real_solve_cases())
     def test_agrees_with_the_complex_solve(self, monkeypatch, a):
         """Same eigenvalues to 1e-13 of max(max|A|, 1), same columns to 1e-12
         once both carry the fixed phase convention."""
+        real = hermitian_eig(HermitianOperator(a))
+        force_complex(monkeypatch)
         op = HermitianOperator(a)
-        real = hermitian_eig(op)
-        force_complex_eigh(monkeypatch)
         calls = count_eigh(monkeypatch)
         ref = hermitian_eig(op)
+        assert op.matrix.dtype == np.complex128
         assert calls == [(a.shape, np.complex128)]
         scale = max(np.max(np.abs(a)), 1.0)
         assert np.max(np.abs(real.eigenvalues - ref.eigenvalues)) <= 1e-13 * scale
