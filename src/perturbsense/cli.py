@@ -12,10 +12,11 @@ Models are either presets (``qubit``, ``qubit2``, ``qutrit``,
 and ``perturbations``, matrices encoded as nested arrays of [re, im]
 pairs, plus an optional ``level`` (default 0).
 
-Exit status: 0 on success, 1 when the reader of stdout closes it early,
-2 on validation errors (bad flags or files, and every package error that
-is also a ``ValueError``), 3 on the package's other, numerical errors
-(degeneracy, level tracking, fatal singularities).
+Exit status, read off the exception's type alone: 0 on success, 2 for
+any ``ValueError`` (bad flags or files, and the package errors that are
+also ``ValueError``) or ``MemoryError``, 3 for the package's other,
+numerical errors (degeneracy, level tracking, fatal singularities), and
+1 when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
-class CliValidationError(Exception):
-    """Bad flags, unreadable model files, or invalid grids."""
-
-
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -72,18 +69,18 @@ def _pairs(matrix: np.ndarray) -> list:
 def _matrix_from_pairs(obj, dim: int, what: str) -> np.ndarray:
     arr = np.array(obj, dtype=object)
     if arr.shape != (dim, dim, 2):
-        raise CliValidationError(
+        raise ValueError(
             f"{what} must be a {dim}x{dim} array of [re, im] pairs, got shape {arr.shape}"
         )
     # exact types: JSON true passes isinstance(x, int), and the float
     # conversion would read true and "1" as 1.0 and null as nan
     for x in arr.flat:
         if type(x) not in (int, float):
-            raise CliValidationError(f"{what} holds {json.dumps(x)}, which is not a number")
+            raise ValueError(f"{what} holds {json.dumps(x)}, which is not a number")
     try:
         arr = arr.astype(float)
     except OverflowError as exc:
-        raise CliValidationError(f"{what} holds an integer too large for a float") from exc
+        raise ValueError(f"{what} holds an integer too large for a float") from exc
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -93,43 +90,42 @@ def load_hamiltonian_file(path: str) -> PerturbationProblem:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError as exc:
-        raise CliValidationError(f"cannot read model file {path}: {exc}") from exc
+        raise ValueError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CliValidationError(f"model file {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"model file {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise CliValidationError(f"model file {path} must hold a JSON object")
+        raise ValueError(f"model file {path} must hold a JSON object")
     for field in ("dim", "h0", "perturbations"):
         if field not in payload:
-            raise CliValidationError(f"model file {path} lacks required field '{field}'")
+            raise ValueError(f"model file {path} lacks required field '{field}'")
     dim = payload["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise CliValidationError("'dim' must be a positive integer")
+        raise ValueError("'dim' must be a positive integer")
     if not isinstance(payload["perturbations"], list) or not payload["perturbations"]:
-        raise CliValidationError("'perturbations' must be a nonempty list of matrices")
+        raise ValueError("'perturbations' must be a nonempty list of matrices")
+    h0 = _matrix_from_pairs(payload["h0"], dim, "h0")
+    matrices = [
+        _matrix_from_pairs(p, dim, f"perturbations[{i}]")
+        for i, p in enumerate(payload["perturbations"])
+    ]
     try:
-        h0 = HermitianOperator(_matrix_from_pairs(payload["h0"], dim, "h0"))
-        perturbations = tuple(
-            HermitianOperator(_matrix_from_pairs(p, dim, f"perturbations[{i}]"))
-            for i, p in enumerate(payload["perturbations"])
-        )
         return PerturbationProblem(
-            h0=h0, perturbations=perturbations, level=payload.get("level", 0)
+            h0=HermitianOperator(h0),
+            perturbations=tuple(HermitianOperator(m) for m in matrices),
+            level=payload.get("level", 0),
         )
-    except (ValueError, PerturbSenseError) as exc:
-        raise CliValidationError(f"model file {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"model file {path}: {exc}") from exc
 
 
 def _resolve_problem(args) -> tuple[PerturbationProblem, str]:
     name = args.model
     if name in PRESET_KINDS:
-        try:
-            spec = models.ModelSpec(PRESET_KINDS[name], alpha=args.alpha, fock_dim=args.fock_dim)
-            return models.build(spec), name
-        except ValueError as exc:
-            raise CliValidationError(str(exc)) from exc
+        spec = models.ModelSpec(PRESET_KINDS[name], alpha=args.alpha, fock_dim=args.fock_dim)
+        return models.build(spec), name
     if os.path.exists(name):
         return load_hamiltonian_file(name), name
-    raise CliValidationError(
+    raise ValueError(
         f"unknown model '{name}': not a preset {sorted(PRESET_KINDS)} or a readable file"
     )
 
@@ -216,7 +212,7 @@ def _run_static(args) -> str:
 
 def _run_dynamic(args) -> str:
     if args.time < 0:
-        raise CliValidationError("--time must be non-negative")
+        raise ValueError("--time must be non-negative")
     problem, name = _resolve_problem(args)
     psi0 = _resolve_probe(args, problem, name)
     report = dynamic_report(problem, psi0, args.time)
@@ -237,14 +233,14 @@ def _run_dynamic(args) -> str:
 
 def _run_scan(args) -> str:
     if args.t_steps < 2:
-        raise CliValidationError("--t-steps must be at least 2")
+        raise ValueError("--t-steps must be at least 2")
     if not args.t_min < args.t_max:
-        raise CliValidationError("--t-min must be below --t-max")
+        raise ValueError("--t-min must be below --t-max")
     if args.t_min < 0:
-        raise CliValidationError("--t-min must be non-negative")
+        raise ValueError("--t-min must be non-negative")
     grid = np.linspace(args.t_min, args.t_max, args.t_steps)
     if np.any(np.diff(grid) <= 0.0):
-        raise CliValidationError(
+        raise ValueError(
             f"--t-min {args.t_min!r} and --t-max {args.t_max!r} are too close to hold "
             f"{args.t_steps} distinct times"
         )
@@ -298,11 +294,11 @@ def _entry_checks(
 
 def _run_oracle_check(args) -> str:
     if args.time is not None and args.time < 0:
-        raise CliValidationError("--time must be non-negative")
+        raise ValueError("--time must be non-negative")
     problem, name = _resolve_problem(args)
     lam = np.asarray(args.lambdas, dtype=float)
     if lam.size != problem.num_parameters:
-        raise CliValidationError(
+        raise ValueError(
             f"--lambda needs {problem.num_parameters} value(s) for model '{name}'"
         )
     corrections = [
@@ -453,17 +449,17 @@ _RUNNERS = {
 
 
 def run(args: argparse.Namespace) -> int:
-    """Execute a parsed command, writing the artifact to stdout or --out."""
+    """Execute a parsed command, writing the artifact to stdout or --out.
+
+    Returns 2 for any ``ValueError`` or ``MemoryError``, 3 for the
+    package's other errors, 1 when stdout is closed early, else 0.
+    """
     try:
         text = _RUNNERS[args.command](args)
-    except CliValidationError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except PerturbSenseError as exc:
-        # the package's errors that are also ValueErrors are bad input
-        if isinstance(exc, ValueError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if args.out is None:

@@ -178,9 +178,9 @@ def fd_qfim(family, lam, eps: float = DEFAULT_FD_STEP):
     Phases are fixed by positive overlap with the center state and the
     gauge term <d_mu psi|psi><d_nu psi|psi> is included, so the result is
     robust to smooth lambda-dependent phases on the family.  The eps and
-    eps/2 estimates must agree within 10%, which catches steps small
-    enough for catastrophic cancellation; the finer estimate is returned.
-    A step too small to move some coupling is refused before any sample.
+    eps/2 estimates must agree within 10%, which catches cancellation; the
+    finer is returned.  A step too small to move some coupling is refused,
+    but one that moves lambda and not the sampled state passes vacuously.
 
     A family that returns a ``StateVector`` gives one ``(Q, D)`` pair.  A
     family that returns a tuple of states gives a tuple of pairs in the

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
@@ -485,6 +486,54 @@ class TestExitStatus:
         assert out == ""
         assert err.endswith("boom\n")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["oracle-check", "--model", "qubit2", "--alpha", "0.5",
+              "--lambda", "1e308", "1e308", "--eps", "1e305"], "matrix entries must be finite"),
+            (["oracle-check", "--model", "anharmonic", "--fock-dim", "8",
+              "--lambda", "1e307", "1e307", "--eps", "1e300"], "matrix entries must be finite"),
+            (["scan", "--model", "qubit", "--t-min", "0", "--t-max", "1",
+              "--t-steps", "99999999999999999999"], "Maximum allowed size exceeded"),
+            (["static", "--model", "anharmonic", "--fock-dim", "99999999999999999999"],
+             "Maximum allowed size exceeded"),
+        ],
+        ids=["overflow-qubit2", "overflow-anharmonic", "huge-t-steps", "huge-fock-dim"],
+    )
+    def test_overflow_and_unsizable_input_exit_2(self, capsys, argv, message):
+        # H(lambda) overflows to inf at these couplings, and numpy refuses
+        # these sizes before it allocates anything
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("error", [ValueError, MemoryError])
+    def test_any_value_or_memory_error_exits_2(self, capsys, monkeypatch, error):
+        # a runner raising MemoryError stands in for a real allocation failure,
+        # which no test provokes: an overcommitting host could start allocating
+        def raising(args):
+            raise error("boom")
+
+        monkeypatch.setitem(cli._RUNNERS, "static", raising)
+        code, out, err = run_cli(capsys, "static", "--model", "qubit")
+        assert code == 2
+        assert out == ""
+        assert err == "error: boom\n"
+
+    def test_package_raises_only_mapped_types(self):
+        """Each ``raise`` in the package names a type that ``cli.run`` maps to an exit code."""
+        allowed = {"ValueError", "argparse.ArgumentTypeError", "SystemExit", *errors.__all__}
+        unmapped = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Raise) or node.exc is None:
+                    continue  # a bare re-raise keeps the type already raised
+                name = ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+                if name not in allowed:
+                    unmapped.append(f"{path.name}:{node.lineno} {name}")
+        assert unmapped == []
 
 
 def write_real_model(path, h0, couplings) -> str:
