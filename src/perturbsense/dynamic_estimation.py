@@ -12,14 +12,18 @@ c = V^dag psi0, H~_mu = V^dag H_mu V and gaps g_ij = E_i - E_j,
     K~_mu(t) c = e^{iEt} o [M_mu (e^{-iEt} o c)] - M_mu c,
     M_mu = H~_mu / (i g),
 
-so a whole time grid costs one O(d^3) eigensolve of H0, the basis change
-H~_mu of each coupling, and one (d x d) @ (d x T) product per coupling,
-O(P d^2 T) in all.  The H~_mu are the problem's coupling stack
-:attr:`PerturbationProblem.couplings`, built once and held for the
-problem's lifetime (P d^2 numbers, 16 MB at d = 1024 and P = 2 in real
-arithmetic).  A real model's operators are stored as float64, so its
-stack is float64, M_mu is purely imaginary, and the product is a real
-(d x d) @ (d x 2T) one, half the flops of the complex product.
+and only the columns of M_mu on the probe's support S = {j : c_j != 0}
+meet c.  So a whole time grid costs one O(d^3) eigensolve of H0, the
+gather :meth:`PerturbationProblem.coupling_columns` of H~_mu[:, S] in
+O(P d^2 |S|), one (d x |S|) @ (|S| x T) product per coupling in
+O(P d |S| T), and O(d T) for the phases.  Nothing of size (P, d, d) is
+held; a probe with |S| < d never forms one.  Every preset probe sits on
+one eigenlevel of a diagonal H0, so |S| = 1; a dense probe, or an
+eigenstate of a dense H0 whose c carries rounding on every level, has
+|S| = d and the O(P d^2 T) cost.  A real model's operators are stored
+as float64, so its columns are float64, M_mu is purely imaginary, and the
+product is a real (d x |S|) @ (|S| x 2T) one, half the flops of the
+complex product.
 
 Pairs with g = 0 exactly (the diagonal and exactly degenerate levels)
 have K~_ij(t) = H~_ij t: they enter as one rank-1 term t (H~ o Z) c per
@@ -222,9 +226,15 @@ def qfim_dynamic(psi0: StateVector, ks) -> EstimationReport:
 def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray):
     """K_mu(t)|psi0> for every grid time, in the H0 eigenbasis.
 
-    Returns the tangents, shape (T, P, d), and the probe in the same basis.
-    Working memory is O(P d T) beside the problem's (P, d, d) coupling
-    stack: no d x d x T or P x P x d x T array.
+    Returns the tangents, shape (T, P, d), and the probe c = V^dag psi0.
+    Only the columns of H~_mu on the probe's support S = {j : c_j != 0}
+    enter, so the pair work runs on a (d, |S|) block: O(P d^2 |S|) to
+    gather the columns, O(P d |S| T) for the products and O(d T) for the
+    phases.  S keeps every entry that is not exactly zero, however small:
+    an eigenstate probe of a dense H0 has rounding-level amplitudes on
+    every level, and with them full support and the full cost.  No
+    (P, d, d) array is formed for |S| < d, and no d x d x T or
+    P x P x d x T array at all.
     """
     if psi0.dim != p.dim:
         raise DimensionMismatchError(
@@ -235,12 +245,14 @@ def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray)
     positive = grid[grid > 0.0]
     if positive.size == 0:  # K(0) = 0 exactly
         return np.zeros((grid.size, p.num_parameters, dec.dim), dtype=complex), c
-    stack = p.couplings
+    support = np.flatnonzero(c)
+    c_s = c[support]
+    columns = p.coupling_columns(support)
     # Centring the spectrum keeps the phases e^{iEt} as accurate as the gaps;
     # a common energy shift cancels in e^{iE_i t} M_ij e^{-iE_j t}.  Each end
     # is halved first, so the centre stays finite near the float range.
     energies = dec.eigenvalues - (0.5 * dec.eigenvalues[0] + 0.5 * dec.eigenvalues[-1])
-    gaps = energies[:, None] - energies[None, :]
+    gaps = energies[:, None] - energies[support]
     with np.errstate(over="ignore"):  # an infinite phase is not small either
         small = np.abs(gaps) * positive[0] < SMALL_PHASE
     inverse_gap = np.zeros(gaps.shape)
@@ -256,28 +268,28 @@ def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray)
     np.sin(angles, out=phases.imag)
     del angles
     tangents = np.empty((p.num_parameters, grid.size, dec.dim), dtype=complex)
-    if np.iscomplexobj(stack):
-        rotated = phases.conj()
-        rotated *= c
-        for h, y in zip(stack, tangents):
+    if np.iscomplexobj(columns):
+        rotated = phases[:, support].conj()
+        rotated *= c_s
+        for h, y in zip(columns, tangents):
             m = h * inverse_gap
             m *= -1j  # M = H~ / (i g), zero on the small-phase pairs
             np.matmul(rotated, m.T, out=y)
             y *= phases
-            y -= m @ c
+            y -= m @ c_s
     else:
         # A real H~ makes M = -i N, with N = H~/g real, so R M^T = (N (-i R)^T)^T
         # and M c = N (-i c), where R = e^{-iEt} o c.  Both come from one real
-        # (d x d) @ (d x 2(T+1)) product per coupling, on the float view of
-        # (-i R)^T with -i c appended as its last column.
-        minus_i_c = np.empty_like(c)
-        minus_i_c.real, minus_i_c.imag = c.imag, -c.real  # exact
-        rotated = np.empty((dec.dim, grid.size + 1), dtype=complex)
-        np.conjugate(phases.T, out=rotated[:, :-1])
+        # (d x |S|) @ (|S| x 2(T+1)) product per coupling, on the float view
+        # of (-i R)^T with -i c appended as its last column.
+        minus_i_c = np.empty_like(c_s)
+        minus_i_c.real, minus_i_c.imag = c_s.imag, -c_s.real  # exact
+        rotated = np.empty((support.size, grid.size + 1), dtype=complex)
+        np.conjugate(phases[:, support].T, out=rotated[:, :-1])
         rotated[:, :-1] *= minus_i_c[:, None]
         rotated[:, -1] = minus_i_c
-        products = np.empty_like(rotated)
-        for h, y in zip(stack, tangents):
+        products = np.empty((dec.dim, grid.size + 1), dtype=complex)
+        for h, y in zip(columns, tangents):
             np.matmul(h * inverse_gap, rotated.view(float), out=products.view(float))
             np.multiply(products[:, :-1].T, phases, out=y)
             y -= products[:, -1]
@@ -290,14 +302,14 @@ def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray)
     # along c only adds a phase, which geometric_tensor projects out again;
     # kept, its square would grow as t^2 and cancel there, so it is dropped
     weights = np.zeros((p.num_parameters, dec.dim), dtype=complex)
-    np.add.at(weights, (slice(None), zero_rows), stack[:, zero_rows, zero_cols] * c[zero_cols])
+    np.add.at(weights, (slice(None), zero_rows), columns[:, zero_rows, zero_cols] * c_s[zero_cols])
     weights -= np.multiply.outer(weights @ c.conj() / np.vdot(c, c), c)
     for y, w in zip(tangents, weights):
         y += np.multiply.outer(grid, w)
 
     # g != 0 but |g| t_min < SMALL_PHASE: the exact kernel, at most d pairs
     # at a time
-    weights = stack[:, rows, cols] * c[cols]
+    weights = columns[:, rows, cols] * c_s[cols]
     for lo in range(0, rows.size, dec.dim):
         chunk = slice(lo, lo + dec.dim)
         g = sinc_gaps[chunk]
@@ -321,9 +333,9 @@ def dynamic_report(p: PerturbationProblem, psi0: StateVector, t: float) -> Estim
     return make_report(geometric_tensor(c, tangents)[0])
 
 
-def _static_reference(p: PerturbationProblem, psi0: StateVector) -> float | None:
-    """Static bound B for the eigenlevel matching the probe, if one matches."""
-    projections = np.abs(p.spectral.eigenvectors.conj().T @ psi0.amplitudes)
+def _static_reference(p: PerturbationProblem, c: np.ndarray) -> float | None:
+    """Static bound B for the eigenlevel matching the probe c = V^dag psi0, if one matches."""
+    projections = np.abs(c)
     level = int(np.argmax(projections))
     if projections[level] < 1.0 - 1e-10:
         return None
@@ -361,5 +373,5 @@ def scan_time(p: PerturbationProblem, psi0: StateVector, times) -> TimeScan:
         times=grid,
         qfim=qfim,
         uhlmann=uhlmann,
-        static_reference=_static_reference(p, psi0),
+        static_reference=_static_reference(p, c),
     )

@@ -105,25 +105,25 @@ class PerturbationProblem:
     def spectral(self) -> SpectralDecomposition:
         return hermitian_eig(self.h0)
 
-    @cached_property
-    def couplings(self) -> np.ndarray:
-        """The couplings in the H0 eigenbasis, H~_mu = V^dag H_mu V, shape (P, d, d).
+    def coupling_columns(self, columns) -> np.ndarray:
+        """Columns of the couplings in the H0 eigenbasis, H~_mu = V^dag H_mu V.
 
-        float64 when H0 and every H_mu are real, complex otherwise.  Built
-        on first use and kept, read-only, for the problem's lifetime: P d^2
-        numbers, 16 MB at d = 1024 and P = 2 in real arithmetic.  Only the
-        dynamical engine reads it; the static path takes the O(d^2) columns
-        of :func:`first_order_correction`.
+        Returns V^dag (H_mu V[:, columns]) for every mu, shape
+        (P, d, len(columns)): O(P d^2 len(columns)) work and nothing
+        cached.  float64 when H0 and every H_mu are real, complex
+        otherwise.  The dynamical engine gathers the columns on its probe's
+        eigenbasis support; a caller that varies the probe (an optimizer
+        over probes, say) gathers every column once instead.
         """
         vectors = self.spectral.eigenvectors
+        block = vectors[:, columns]
         adjoint = vectors.conj().T
         matrices = [h.matrix for h in self.perturbations]
         dtype = np.result_type(vectors, *matrices)
-        stack = np.empty((self.num_parameters, self.dim, self.dim), dtype=dtype)
-        for m, out in zip(matrices, stack):
-            np.matmul(adjoint @ m, vectors, out=out)
-        stack.setflags(write=False)
-        return stack
+        gathered = np.empty((self.num_parameters, self.dim, block.shape[1]), dtype=dtype)
+        for m, out in zip(matrices, gathered):
+            np.matmul(adjoint, m @ block, out=out)
+        return gathered
 
     def with_level(self, level: int) -> "PerturbationProblem":
         """The same Hamiltonian with another reference level, sharing the solved spectrum."""

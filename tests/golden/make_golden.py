@@ -5,6 +5,9 @@ stdout byte for byte, so a change that moves a printed digit fails there.
 A change that moves digits on purpose regenerates the file and says why:
 
     PYTHONPATH=src python tests/golden/make_golden.py
+
+It prints the argv of every case whose stdout differs from the file it
+replaces, so the moved cases can be listed.
 """
 
 from __future__ import annotations
@@ -66,11 +69,17 @@ def run(argv: list[str]) -> tuple[int, str]:
 
 def write() -> int:
     os.chdir(GOLDEN.parent)  # where the model files are
+    previous = {}
+    if GOLDEN.exists():
+        for record in json.loads(GOLDEN.read_text(encoding="utf-8")):
+            previous[tuple(record["argv"])] = record["stdout"]
     records = []
     for argv in cases():
         code, stdout = run(argv)
         if code != 0:
             raise SystemExit(f"exit {code}: perturbsense {' '.join(argv)}")
+        if previous.get(tuple(argv)) != stdout:
+            print(f"changed: {' '.join(argv)}")
         records.append({"argv": argv, "stdout": stdout})
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     return len(records)

@@ -42,11 +42,27 @@ def force_complex(monkeypatch) -> None:
 
     The package decides in one predicate, ``operators._is_real``, whether a
     matrix is stored as float64; with it false, every solve and coupling
-    stack of an operator built after this call runs in complex arithmetic.
+    gather of an operator built after this call runs in complex arithmetic.
     """
     from perturbsense import operators
 
     monkeypatch.setattr(operators, "_is_real", lambda m: False)
+
+
+def record_gathers(monkeypatch) -> list:
+    """Record (problem, columns, result) of every ``coupling_columns`` call from now on."""
+    from perturbsense import PerturbationProblem
+
+    calls = []
+    gather = PerturbationProblem.coupling_columns
+
+    def recording(problem, columns):
+        result = gather(problem, columns)
+        calls.append((problem, np.array(columns), result))
+        return result
+
+    monkeypatch.setattr(PerturbationProblem, "coupling_columns", recording)
+    return calls
 
 
 def count_eigvalsh(monkeypatch) -> list:

@@ -17,7 +17,7 @@ import pytest
 from perturbsense import cli, errors
 from perturbsense.cli import main
 
-from helpers import count_eigh, force_complex
+from helpers import count_eigh, force_complex, record_gathers
 
 B_STATIC_ANHARMONIC = 466.0 / 1131.0
 
@@ -632,7 +632,7 @@ class TestRealArithmetic:
 
 
 class TestRealCouplings:
-    """The real coupling stack gives the presets' output the bits of the complex one."""
+    """Real coupling columns give the presets' output the bits of complex ones."""
 
     SCANS = (
         ["dynamic", "--time", "1.3"],
@@ -641,8 +641,6 @@ class TestRealCouplings:
     )
 
     def test_preset_output_byte_identical_to_the_complex_stack(self, capsys, monkeypatch):
-        from perturbsense import PerturbationProblem
-
         runs = [
             command + preset + ["--output-format", fmt]
             for preset in TestRealArithmetic.PRESET_ARGS
@@ -651,24 +649,16 @@ class TestRealCouplings:
             for fmt in ("csv", "json")
         ]
 
-        dtypes = []
-        couplings = PerturbationProblem.couplings.func
-
-        def recording(problem):
-            stack = couplings(problem)
-            dtypes.append(stack.dtype)
-            return stack
-
-        monkeypatch.setattr(PerturbationProblem, "couplings", property(recording))
+        gathered = record_gathers(monkeypatch)
 
         def outputs():
-            dtypes.clear()
+            gathered.clear()
             texts = []
             for argv in runs:
                 code, out, err = run_cli(capsys, *argv)
                 assert code == 0, (argv, err)
                 texts.append(out)
-            return texts, set(dtypes)
+            return texts, {block.dtype for _, _, block in gathered}
 
         real, real_dtypes = outputs()
         force_complex(monkeypatch)

@@ -24,13 +24,22 @@ from perturbsense import (
     static_report,
 )
 from perturbsense import cli, models, oracle
+from perturbsense.dynamic_estimation import _probe_tangents
 from perturbsense.models import ModelKind, ModelSpec
 
-from helpers import count_eigh, count_eigvalsh, random_hermitian, random_state
+from helpers import (
+    count_eigh,
+    count_eigvalsh,
+    random_hermitian,
+    random_state,
+    record_gathers,
+)
 
 QUBIT1 = models.build(ModelSpec(ModelKind.QUBIT_1PARAM))
 ANHARMONIC = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
 VACUUM = models.vacuum_state(16)
+# What a problem holds once solved: its fields and the cached spectrum, no couplings
+UNCACHED = {"h0", "perturbations", "level", "spectral"}
 
 
 def anharmonic_ks(t, problem=ANHARMONIC):
@@ -487,7 +496,7 @@ class TestProbeSpaceEngine:
     @pytest.mark.parametrize("seed", range(6))
     def test_real_stack_with_dense_eigenbasis(self, seed, grid_name):
         problem, probe = _random_real_model(seed)
-        assert problem.couplings.dtype == np.float64
+        assert problem.coupling_columns([0]).dtype == np.float64
         vectors = problem.spectral.eigenvectors
         assert np.count_nonzero(vectors) == vectors.size  # V is no permutation
         self.assert_matches_reference(problem, probe, self.GRIDS[grid_name])
@@ -500,26 +509,28 @@ class TestProbeSpaceEngine:
         energies = problem.spectral.eigenvalues
         assert energies[0] == energies[1]  # row 0 holds two zero-gap pairs
         assert (energies[2] - energies[1] < 1e-6) == tiny_gap
-        assert problem.couplings.dtype == (np.complex128 if seed % 2 else np.float64)
+        assert problem.coupling_columns([0]).dtype == (np.complex128 if seed % 2 else np.float64)
         self.assert_matches_reference(problem, probe, self.GRIDS[grid_name])
 
     def test_coupling_stack_dtype_and_values(self):
         anharmonic = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
         qutrit = models.build(ModelSpec(ModelKind.QUTRIT_2PARAM, alpha=1.2))
-        assert anharmonic.couplings.dtype == np.float64
-        assert anharmonic.couplings.shape == (2, 16, 16)
-        assert qutrit.couplings.dtype == np.complex128
-        assert not anharmonic.couplings.flags.writeable
+        every = np.arange(16)
+        assert anharmonic.coupling_columns(every).dtype == np.float64
+        assert anharmonic.coupling_columns(every).shape == (2, 16, 16)
+        assert qutrit.coupling_columns(np.arange(3)).dtype == np.complex128
+        assert set(vars(anharmonic)) == UNCACHED  # nothing shared to guard
         for p in (anharmonic, qutrit):
             v = p.spectral.eigenvectors
-            for h, h_eig in zip(p.perturbations, p.couplings):
+            for h, h_eig in zip(p.perturbations, p.coupling_columns(np.arange(p.dim))):
                 assert np.max(np.abs(v.conj().T @ h.matrix @ v - h_eig)) <= 1e-12
 
     def test_static_path_never_builds_the_stack(self, capsys, monkeypatch):
+        gathered = record_gathers(monkeypatch)
         p = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
         static_report([first_order_correction(p, mu) for mu in range(2)])
-        assert "spectral" in vars(p) and "couplings" not in vars(p)
-        assert "couplings" not in vars(p.with_level(2))
+        assert "spectral" in vars(p) and not gathered
+        assert set(vars(p.with_level(2))) == UNCACHED
 
         resolved = []
         resolve = cli._resolve_problem
@@ -535,14 +546,15 @@ class TestProbeSpaceEngine:
         assert cli.main(["static", *argv]) == 0
         assert cli.main(["scan", *argv, "--t-min", "0.1", "--t-max", "1", "--t-steps", "3"]) == 0
         capsys.readouterr()
-        assert ["couplings" in vars(p) for p in resolved] == [False, False, True]
+        gathered_from = [problem for problem, _, _ in gathered]
+        assert [p in gathered_from for p in resolved] == [False, False, True]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_change_of_basis_invariance(self, seed):
         """Q and D do not change when H0, the H_mu and the probe share a basis change.
 
-        A real orthogonal change keeps the real stack; a complex unitary
-        one moves the same model onto the complex stack.
+        A real orthogonal change keeps the coupling columns real; a complex
+        unitary one moves the same model onto complex columns.
         """
         problem, probe = _random_real_model(seed)
         rng = np.random.default_rng(2600 + seed)
@@ -561,7 +573,7 @@ class TestProbeSpaceEngine:
                 perturbations=tuple(map(rotate, problem.perturbations)),
                 level=0,
             )
-            assert moved.couplings.dtype == dtype
+            assert moved.coupling_columns([0]).dtype == dtype
             q_moved, d_moved = _scan_arrays(moved, StateVector(u @ probe.amplitudes), grid)
             scale = float(np.max(np.abs(q)))
             assert np.max(np.abs(q_moved - q)) <= self.RTOL * scale
@@ -577,7 +589,8 @@ class TestProbeSpaceEngine:
             assert np.max(np.abs(report.uhlmann.entries - d_ref[0])) <= self.RTOL * scale
 
     def test_zero_time_forms_no_phase_and_no_stack(self, monkeypatch):
-        # K(0) = 0 exactly, so no phase, kernel or coupling stack is formed
+        # K(0) = 0 exactly, so no phase, kernel or coupling column is formed
+        gathered = record_gathers(monkeypatch)
         problem = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=128))
 
         def no_sin(*args, **kwargs):
@@ -587,7 +600,7 @@ class TestProbeSpaceEngine:
         report = dynamic_report(problem, models.vacuum_state(128), 0.0)
         assert not report.qfim.entries.any() and not report.uhlmann.entries.any()
         assert report.bound_b == math.inf and report.quantumness_r is None
-        assert "couplings" not in vars(problem)
+        assert not gathered
 
     def test_dynamic_report_rejects_bad_times(self):
         for t in (-0.1, math.nan, math.inf):
@@ -595,6 +608,92 @@ class TestProbeSpaceEngine:
                 dynamic_report(QUBIT1, models.qubit_probe(0, 0), t)
         with pytest.raises(DimensionMismatchError):
             dynamic_report(ANHARMONIC, models.qubit_probe(0, 0), 1.0)
+
+
+def _exact_tangents(problem, probe, grid):
+    """K~_mu(t) c from a full V^dag H_mu V and the kernel t e^{igt/2} sinc(gt/2)."""
+    dec = problem.spectral
+    v = dec.eigenvectors
+    c = v.conj().T @ probe.amplitudes
+    full = np.array([v.conj().T @ h.matrix @ v for h in problem.perturbations])
+    gaps = dec.eigenvalues[:, None] - dec.eigenvalues[None, :]
+    kernels = np.array(
+        [t * np.exp(0.5j * gaps * t) * np.sinc(0.5 * gaps * t / np.pi) for t in grid]
+    )
+    return np.einsum("tij,pij,j->tpi", kernels, full, c), full, c
+
+
+def _off_probe(x, c):
+    """x with its component along c removed, which the geometric tensor ignores."""
+    return x - np.multiply.outer(x @ c.conj() / np.vdot(c, c), c)
+
+
+class TestSupportGather:
+    """coupling_columns and the tangents on the probe's support against a full V^dag H_mu V."""
+
+    RTOL = 1e-14  # relative to the largest entry
+    GRID = np.linspace(0.5, 6.0, 12)
+
+    @staticmethod
+    def support_probe(dim, levels, rng):
+        amplitudes = np.zeros(dim, dtype=complex)
+        amplitudes[levels] = random_state(rng, len(levels))
+        return StateVector(amplitudes)
+
+    def assert_gather_matches(self, problem, probe, gathered):
+        tangents, c = _probe_tangents(problem, probe, self.GRID)
+        exact, full, c_ref = _exact_tangents(problem, probe, self.GRID)
+        assert np.array_equal(c, c_ref)
+        [(_, columns, block)] = gathered
+        assert np.array_equal(columns, np.flatnonzero(c))
+        assert block.shape == (problem.num_parameters, problem.dim, columns.size)
+        assert np.max(np.abs(block - full[:, :, columns])) <= self.RTOL * np.max(np.abs(full))
+        scale = np.max(np.abs(_off_probe(exact, c)))
+        assert np.max(np.abs(_off_probe(tangents - exact, c))) <= self.RTOL * scale
+        return columns
+
+    @pytest.mark.parametrize("support", ["one", "few", "dense"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_diagonal_h0(self, seed, support, monkeypatch):
+        problem, probe = _degenerate_model(seed, tiny_gap=False)
+        assert problem.coupling_columns([0]).dtype == (np.complex128 if seed % 2 else np.float64)
+        rng = np.random.default_rng(2700 + seed)
+        dim = problem.dim
+        levels = {"one": [3], "few": [0, 2, dim - 1], "dense": list(range(dim))}[support]
+        if support != "dense":
+            probe = self.support_probe(dim, levels, rng)
+        gathered = record_gathers(monkeypatch)
+        assert self.assert_gather_matches(problem, probe, gathered).tolist() == levels
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_eigenstate_of_a_dense_h0_keeps_full_support(self, seed, monkeypatch):
+        """c = V^dag V[:, k] carries rounding on every level, so S is every level."""
+        problem, _ = _random_real_model(seed)
+        probe = problem.spectral.eigenstate(1)
+        c = problem.spectral.eigenvectors.conj().T @ probe.amplitudes
+        assert 0.0 < np.min(np.abs(c)) < 1e-14
+        gathered = record_gathers(monkeypatch)
+        columns = self.assert_gather_matches(problem, probe, gathered)
+        assert columns.size == problem.dim
+
+    def test_tiny_amplitude_stays_in_the_support(self, monkeypatch):
+        problem, _ = _degenerate_model(1, tiny_gap=False)
+        amplitudes = np.zeros(problem.dim, dtype=complex)
+        amplitudes[[2, 4]] = 1.0, 1e-300
+        assert problem.coupling_columns([2])[:, 4, 0].all()  # level 4 is coupled to level 2
+        gathered = record_gathers(monkeypatch)
+        assert self.assert_gather_matches(problem, StateVector(amplitudes), gathered).tolist() == [2, 4]
+
+    def test_fock_1024_vacuum_gathers_one_column_per_coupling(self, monkeypatch):
+        problem = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=1024))
+        gathered = record_gathers(monkeypatch)
+        scan = scan_time(problem, models.vacuum_state(1024), self.GRID)
+        [(gathered_from, columns, block)] = gathered
+        assert gathered_from is problem and columns.tolist() == [0]
+        assert block.shape == (2, 1024, 1)
+        for t, q in zip(self.GRID, scan.qfim):
+            q11, q22, q12 = models.reference_anharmonic_dynamic(t)
+            assert np.max(np.abs(q - [[q11, q12], [q12, q22]])) <= 1e-12 * q11
 
 
 class TestLongTimes:
