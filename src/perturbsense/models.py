@@ -103,6 +103,32 @@ def trusted_level_count(fock_dim: int) -> int:
     return max(0, fock_dim - TRUNCATION_EDGE)
 
 
+def _band_product(a: dict, b: dict) -> dict:
+    """Product of two banded matrices held as {offset k: r_k}, r_k[i] = M[i, i + k].
+
+    Each r_k has the full length d and is zero where i + k falls outside
+    the matrix, so C[i, i + p + q] = sum over p, q of a_p[i] b_q[i + p] is
+    the product of the truncated matrices, and C keeps that form: where
+    i + p falls outside, the rolled b_q is read at a zero of a_p.
+    """
+    product = {}
+    for p, row in a.items():
+        for q, other in b.items():
+            term = row * np.roll(other, -p)
+            product[p + q] = product[p + q] + term if p + q in product else term
+    return product
+
+
+def _dense(bands: dict) -> np.ndarray:
+    """The d x d float64 matrix of {offset k: r_k}, zero off the bands."""
+    dim = next(iter(bands.values())).size
+    m = np.zeros((dim, dim))
+    for k, row in bands.items():
+        i = np.arange(max(0, -k), dim - max(0, k))
+        m[i, i + k] = row[i]
+    return m
+
+
 def build(spec: ModelSpec) -> PerturbationProblem:
     """Assemble the perturbation problem for a model preset.
 
@@ -136,20 +162,22 @@ def build(spec: ModelSpec) -> PerturbationProblem:
                 f"fock_dim must be at least {MIN_FOCK_DIM}, got {spec.fock_dim}"
             )
         dim = spec.fock_dim
-        a = lowering_operator(dim)
-        h0 = a.conj().T @ a + 0.5 * np.eye(dim, dtype=complex)
-        x = position_operator(dim)
-        # the products matrix_power forms, x^2 once, in complex arithmetic
-        # (a real product rounds differently at some sizes; HermitianOperator
-        # stores them as float64).  x^2 is released before the operators are
-        # checked, so the peak memory of the build holds no extra d x d matrix
-        x2 = x @ x
-        x3 = x2 @ x
-        x4 = x2 @ x2
-        del x2
+        root = np.sqrt(np.arange(dim, dtype=float))
+        # (a^dag a)_jj = sqrt(j) sqrt(j), the one term of the product a^dag a
+        h0 = np.diag(root * root + 0.5)
+        # the band of the truncated x: x_{k-1,k} = x_{k,k-1} = sqrt(k)/sqrt(2)
+        step = root[1:] / math.sqrt(2.0)
+        x = {-1: np.insert(step, 0, 0.0), 1: np.append(step, 0.0)}
+        # x^3 = x^2 x and x^4 = x^2 x^2 are products of the truncated x, not
+        # the closed-form elements of the untruncated x^k, which differ
+        # within TRUNCATION_EDGE levels of the cutoff
+        x2 = _band_product(x, x)
         return PerturbationProblem(
             h0=HermitianOperator(h0),
-            perturbations=(HermitianOperator(x3), HermitianOperator(x4)),
+            perturbations=(
+                HermitianOperator(_dense(_band_product(x2, x))),
+                HermitianOperator(_dense(_band_product(x2, x2))),
+            ),
             level=0,
         )
     raise ValueError(f"unknown model kind: {kind!r}")

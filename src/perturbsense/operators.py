@@ -29,7 +29,6 @@ __all__ = [
     "HermitianOperator",
     "SpectralDecomposition",
     "StateVector",
-    "complex_matrix",
     "hermitian_eig",
     "geometric_tensor",
     "integrate_operator",
@@ -41,6 +40,10 @@ RESIDUAL_RTOL = 1e-10
 NORM_ATOL = 1e-10
 NODES_PER_PANEL = 8
 PANELS_PER_UNIT_TIME = 16
+# Side of the square blocks the Hermiticity and realness scans read at a time,
+# and the dimension from which a real matrix meets a complex vector in two
+# real columns.
+_TILE = 64
 
 _GL_NODES, _GL_WEIGHTS = leggauss(NODES_PER_PANEL)
 # 2 pi i times the golden-ratio conjugate, the phase step of the probe chirp.
@@ -74,9 +77,33 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(np.vdot(x, x).real)
 
 
-def complex_matrix(entries) -> np.ndarray:
-    """Coerce ``entries`` to a square, finite complex matrix (a fresh copy)."""
-    m = np.array(entries, dtype=complex)
+def _times(m: np.ndarray, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """m @ v, or m^dag @ v, for a contiguous complex vector v.
+
+    numpy would copy a float64 ``m`` to complex128 for the mixed product;
+    here it is one real (d x d)@(d x 2) product on the real and imaginary
+    parts of v.  Below ``_TILE`` levels that copy costs less than the view,
+    so numpy's product is kept there.  The adjoint is taken as
+    (v^dag m)^dag, which copies no matrix.
+    """
+    if m.dtype.kind == "c" or m.shape[0] < _TILE:
+        return (v.conj() @ m).conj() if adjoint else m @ v
+    parts = v.view(float).reshape(-1, 2)
+    return ((m.T if adjoint else m) @ parts).view(complex).ravel()
+
+
+def _square_matrix(entries) -> np.ndarray:
+    """Coerce ``entries`` to a square, finite matrix (a fresh copy).
+
+    Real dtypes (bool, integer, float) become float64 and everything else
+    complex128, so a real matrix is never widened to complex to be
+    narrowed back.
+    """
+    m = np.asarray(entries)
+    if m.dtype.kind in "biuf":
+        m = np.array(m, dtype=float)
+    else:
+        m = np.array(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
@@ -85,13 +112,46 @@ def complex_matrix(entries) -> np.ndarray:
 
 
 def _is_real(m: np.ndarray) -> bool:
-    """True when no entry of ``m`` has a nonzero imaginary part (zeros of either sign count)."""
-    return not (np.iscomplexobj(m) and m.imag.any())
+    """True when no entry of ``m`` has a nonzero imaginary part (zeros of either sign count).
+
+    The imaginary part is read in blocks of about ``_TILE``**2 entries and
+    the scan stops at the first block with a nonzero entry, so a complex
+    matrix usually costs one block, not a full pass.
+    """
+    if m.dtype.kind != "c":
+        return True
+    rows = max(1, _TILE * _TILE // m.shape[1])
+    imag = m.imag
+    for i in range(0, m.shape[0], rows):
+        if imag[i : i + rows].any():
+            return False
+    return True
 
 
-def _narrowed(m: np.ndarray) -> np.ndarray:
-    """``m`` as float64 when it is real, as it is otherwise."""
-    return np.ascontiguousarray(m.real) if _is_real(m) else m
+def _typed(m: np.ndarray) -> np.ndarray:
+    """``m`` as float64 when it is real, as complex128 otherwise."""
+    if _is_real(m):
+        return np.ascontiguousarray(m.real) if m.dtype.kind == "c" else m
+    return m.astype(complex, copy=False)
+
+
+def _hermiticity_defect(m: np.ndarray) -> float:
+    """max|m - m^dag|, computed on ``_TILE`` x ``_TILE`` tiles.
+
+    Each tile on or above the diagonal is compared with the conjugate
+    transpose of its mirror tile, which fits in cache, where the whole
+    transpose would be read column by column.  |m_ij - conj(m_ji)| is the
+    same number as |m_ji - conj(m_ij)|, so the maximum is that of the full
+    difference, bit for bit.
+    """
+    d = m.shape[0]
+    defect = 0.0
+    for i in range(0, d, _TILE):
+        for j in range(i, d, _TILE):
+            upper = m[i : i + _TILE, j : j + _TILE]
+            mirror = m[j : j + _TILE, i : i + _TILE]
+            defect = max(defect, float(np.abs(upper - mirror.conj().T).max()))
+    return defect
 
 
 class HermitianOperator:
@@ -105,9 +165,9 @@ class HermitianOperator:
     __slots__ = ("_matrix", "_max_abs")
 
     def __init__(self, matrix):
-        m = _narrowed(complex_matrix(matrix))
+        m = _typed(_square_matrix(matrix))
         scale = float(np.max(np.abs(m)))
-        deviation = float(np.max(np.abs(m - m.conj().T)))
+        deviation = _hermiticity_defect(m)
         if deviation > HERMITICITY_RTOL * scale:
             raise HermiticityError(
                 f"matrix deviates from Hermiticity by {deviation:.3e} "
@@ -125,7 +185,7 @@ class HermitianOperator:
         ``ValueError`` of the public constructor.
         """
         op = cls.__new__(cls)
-        op._matrix = _frozen(_narrowed(_require_finite(matrix)))
+        op._matrix = _frozen(_typed(_require_finite(matrix)))
         op._max_abs = None
         return op
 
@@ -206,8 +266,7 @@ class SpectralDecomposition:
             raise ValueError("eigenvalues must be ascending")
         y = _probe(vals.size)
         with np.errstate(over="ignore", invalid="ignore"):
-            w = vecs @ y
-            defect = _norm((w.conj() @ vecs).conj() - y)
+            defect = _norm(_times(vecs, _times(vecs, y), adjoint=True) - y)
         if not defect <= ORTHONORMALITY_ATOL:
             raise ValueError(
                 f"eigenvector columns are not orthonormal: probe defect {defect:.3e} "
@@ -262,7 +321,7 @@ def hermitian_eig(a: HermitianOperator) -> SpectralDecomposition:
     scale = max(a._scale(), 1.0)
     y = _probe(a.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = _norm(a.matrix @ (vecs @ y) - vecs @ (vals * y))
+        residual = _norm(_times(a.matrix, _times(vecs, y)) - _times(vecs, vals * y))
     if not residual <= RESIDUAL_RTOL * scale:
         raise EigensolverError(
             f"eigensolver probe residual {residual:.3e} exceeds "

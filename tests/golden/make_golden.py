@@ -7,7 +7,8 @@ A change that moves digits on purpose regenerates the file and says why:
     PYTHONPATH=src python tests/golden/make_golden.py
 
 It prints the argv of every case whose stdout differs from the file it
-replaces, so the moved cases can be listed.
+replaces, with the largest relative move |b - a| / max(|a|, |b|) of any
+number in it, so the moved cases can be listed.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ import contextlib
 import io
 import json
 import os
+import re
 from pathlib import Path
 
 from perturbsense.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_outputs.json")
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 # (model arguments, --lambda values for oracle-check)
 MODELS = (
@@ -67,6 +70,22 @@ def run(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def largest_move(old: str, new: str) -> str:
+    """The largest relative move of a number from ``old`` stdout to ``new``."""
+    before, after = NUMBER.findall(old), NUMBER.findall(new)
+    if NUMBER.sub("#", old) != NUMBER.sub("#", new):
+        return "text changed"
+    move = max(
+        (
+            abs(float(b) - float(a)) / max(abs(float(a)), abs(float(b)))
+            for a, b in zip(before, after)
+            if a != b
+        ),
+        default=0.0,
+    )
+    return f"largest relative move {move:.1e}"
+
+
 def write() -> int:
     os.chdir(GOLDEN.parent)  # where the model files are
     previous = {}
@@ -78,8 +97,11 @@ def write() -> int:
         code, stdout = run(argv)
         if code != 0:
             raise SystemExit(f"exit {code}: perturbsense {' '.join(argv)}")
-        if previous.get(tuple(argv)) != stdout:
-            print(f"changed: {' '.join(argv)}")
+        old = previous.get(tuple(argv))
+        if old is None:
+            print(f"new: {' '.join(argv)}")
+        elif old != stdout:
+            print(f"changed: {' '.join(argv)}  ({largest_move(old, stdout)})")
         records.append({"argv": argv, "stdout": stdout})
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     return len(records)

@@ -26,7 +26,13 @@ from perturbsense.models import (
     vacuum_state,
 )
 
-from helpers import x_power_element
+from helpers import force_complex, x_power_element
+
+# The build rounds each product of two band entries before it adds it, where
+# a zgemm with fused multiply-adds rounds once per term, so the two agree to a
+# few ulp of max|x^k| (worst seen: 7.4e-16 = 3.4 eps, at fock 1024).
+BAND_RTOL = 8 * np.finfo(float).eps
+BAND_FOCK_DIMS = [*range(8, 71), 127, 128, 129, 256, 512, 1024]
 
 
 class TestAlgebra:
@@ -100,6 +106,40 @@ class TestBuild:
                 assert matrix[m, n] == pytest.approx(
                     x_power_element(m, n, power), abs=1e-12
                 )
+
+    @pytest.mark.parametrize("fock_dim", BAND_FOCK_DIMS)
+    def test_banded_build_matches_the_dense_truncated_products(self, fock_dim):
+        """x^3 and x^4 agree entry by entry with the products of the dense
+        truncated x, are exactly zero off their bands and are stored as
+        float64; H0 is a^dag a + I/2 bit for bit."""
+        problem = build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=fock_dim))
+        a = lowering_operator(fock_dim)
+        h0 = a.conj().T @ a + 0.5 * np.eye(fock_dim, dtype=complex)
+        assert problem.h0.matrix.dtype == np.float64
+        assert not h0.imag.any() and np.array_equal(problem.h0.matrix, h0.real)
+        x = position_operator(fock_dim)
+        x2 = x @ x
+        level = np.arange(fock_dim)
+        offset = level[None, :] - level[:, None]  # j - i at entry (i, j)
+        for op, dense, bands in (
+            (problem.perturbations[0], x2 @ x, (-3, -1, 1, 3)),
+            (problem.perturbations[1], x2 @ x2, (-4, -2, 0, 2, 4)),
+        ):
+            m = op.matrix
+            assert m.dtype == np.float64
+            assert not dense.imag.any()
+            tolerance = BAND_RTOL * np.max(np.abs(dense))
+            assert np.max(np.abs(m - dense.real)) <= tolerance
+            assert np.all(m[~np.isin(offset, bands)] == 0.0)
+
+    def test_forced_complex_build_keeps_the_values(self, monkeypatch):
+        spec = ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16)
+        real = build(spec)
+        force_complex(monkeypatch)
+        forced = build(spec)
+        for r, f in zip((real.h0, *real.perturbations), (forced.h0, *forced.perturbations)):
+            assert f.matrix.dtype == np.complex128
+            assert np.array_equal(f.matrix, r.matrix)
 
     def test_position_operator_matches_expansion(self):
         x = position_operator(6)

@@ -50,6 +50,46 @@ class TestHermitianOperator:
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            np.eye(3, dtype=bool),
+            np.diag([1, 2, 3]),
+            np.diag([1.0, 2.5, 3.0]).astype(np.float32),
+            np.diag([1.0, 2.5, 3.0]),
+            [[1.0, 0.0, 0.0], [0.0, 2.5, 0.0], [0.0, 0.0, 3.0]],
+        ],
+        ids=["bool", "int", "float32", "float64", "list"],
+    )
+    def test_real_input_is_stored_as_a_float64_copy(self, entries):
+        op = HermitianOperator(entries)
+        assert op.matrix.dtype == np.float64
+        assert np.array_equal(op.matrix, np.asarray(entries, dtype=float))
+        if isinstance(entries, np.ndarray):
+            assert not np.shares_memory(op.matrix, entries)
+            assert entries.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("dim", [63, 64, 65, 130, 200])
+    def test_hermiticity_defect_is_that_of_the_full_difference(self, dim, kind):
+        """Each tile against its mirror gives max|A - A^dag| bit for bit,
+        wherever the one bad entry sits: on the diagonal, above or below it."""
+        rng = np.random.default_rng(dim)
+        base = random_hermitian(rng, dim)
+        if kind == "real":
+            base = base.real
+        assert operators._hermiticity_defect(base) == 0.0
+        for i, j in {(0, 0), (0, dim - 1), (dim - 1, 0), (dim // 2, 3), (dim - 1, dim - 2)}:
+            a = base.copy()
+            a[i, j] += 1e-6 * (1.0 if kind == "real" else 1.0 + 0.5j)
+            expected = float(np.max(np.abs(a - a.conj().T)))
+            assert operators._hermiticity_defect(a) == expected
+            if expected == 0.0:  # a real diagonal entry stays Hermitian
+                assert kind == "real" and i == j
+                continue
+            with pytest.raises(HermiticityError, match=re.escape(f"by {expected:.3e}")):
+                HermitianOperator(a)
+
 
 class TestStateVector:
     def test_normalized_check(self):
@@ -142,19 +182,21 @@ class TestRealPath:
         assert calls == [(a.shape, np.float64)]
         assert dec.eigenvectors.dtype == np.float64
 
+    @pytest.mark.parametrize("dim, i, j", [(4, 0, 2), (300, 299, 150)])
     @pytest.mark.parametrize("tiny", [1e-300, 5e-324])
-    def test_one_imaginary_entry_takes_the_complex_path(self, monkeypatch, tiny):
-        """Both doors keep the entry: the checked constructor and a sum H(lambda)."""
-        a = random_real_symmetric(np.random.default_rng(4), 4)
-        a[0, 2] += 1j * tiny
-        a[2, 0] -= 1j * tiny
+    def test_one_imaginary_entry_takes_the_complex_path(self, monkeypatch, tiny, dim, i, j):
+        """Both doors keep the entry, in the first block of rows or the last:
+        the checked constructor and a sum H(lambda)."""
+        a = random_real_symmetric(np.random.default_rng(4), dim)
+        a[i, j] += 1j * tiny
+        a[j, i] -= 1j * tiny
         ops = (HermitianOperator(a), HermitianOperator._from_sum(a.copy()))
         calls = count_eigh(monkeypatch)
         for op in ops:
             assert op.matrix.dtype == np.complex128
-            assert op.matrix[0, 2].imag == tiny
+            assert op.matrix[i, j].imag == tiny
             assert hermitian_eig(op).eigenvectors.dtype == np.complex128
-        assert calls == [((4, 4), np.complex128)] * 2
+        assert calls == [((dim, dim), np.complex128)] * 2
 
     def test_signed_zero_imaginary_parts_count_as_real(self, monkeypatch):
         """All +0, all -0, or a mix: both doors store the real part as float64."""
@@ -237,6 +279,9 @@ def _postcondition_cases():
     for dim in (5, 40):
         a = random_hermitian(np.random.default_rng(dim), dim)
         cases.append(pytest.param(a, id=f"random-{dim}"))
+    # real and above one tile: the checks multiply on the probe's float view
+    a = random_real_symmetric(np.random.default_rng(80), 80)
+    cases.append(pytest.param(a, id="random-real-80"))
     return cases
 
 
