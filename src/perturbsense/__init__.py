@@ -47,7 +47,6 @@ from .static_estimation import (
     assemble,
     bound_b,
     make_report,
-    qfi_single,
     qfim_static,
     quantumness_r,
     sld_single,
@@ -121,7 +120,6 @@ __all__ = [
     "oracle",
     "overlaps",
     "perturbed_state",
-    "qfi_single",
     "qfim_dynamic",
     "qfim_static",
     "quantumness_r",

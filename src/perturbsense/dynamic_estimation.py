@@ -20,9 +20,10 @@ O(P d |S| T), and O(d T) for the phases.  Nothing of size (P, d, d) is
 held; a probe with |S| < d never forms one.  Every preset probe sits on
 one eigenlevel of a diagonal H0, so |S| = 1; a dense probe, or an
 eigenstate of a dense H0 whose c carries rounding on every level, has
-|S| = d and the O(P d^2 T) cost.  A real model's operators are stored
-as float64, so its columns are float64, M_mu is purely imaginary, and the
-product is a real (d x |S|) @ (|S| x 2T) one, half the flops of the
+|S| = d and the O(P d^2 T) cost.  M_mu = -i H~_mu / g, so the product
+runs on N_mu = H~_mu / g through :func:`~perturbsense.operators._times`:
+a real model's operators are stored as float64, so its N_mu is float64
+and the product a real (d x |S|) @ (|S| x 2T) one, half the flops of the
 complex product.
 
 Pairs with g = 0 exactly (the diagonal and exactly degenerate levels)
@@ -56,6 +57,7 @@ from .operators import (
     HermitianOperator,
     SpectralDecomposition,
     StateVector,
+    _times,
     geometric_tensor,
     hermitian_eig,
     integrate_operator,
@@ -241,7 +243,7 @@ def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray)
             f"probe dimension {psi0.dim} does not match problem dimension {p.dim}"
         )
     dec = p.spectral
-    c = dec.eigenvectors.conj().T @ psi0.amplitudes
+    c = _times(dec.eigenvectors, psi0.amplitudes, adjoint=True)
     positive = grid[grid > 0.0]
     if positive.size == 0:  # K(0) = 0 exactly
         return np.zeros((grid.size, p.num_parameters, dec.dim), dtype=complex), c
@@ -268,33 +270,22 @@ def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray)
     np.sin(angles, out=phases.imag)
     del angles
     tangents = np.empty((p.num_parameters, grid.size, dec.dim), dtype=complex)
-    if np.iscomplexobj(columns):
-        rotated = phases[:, support].conj()
-        rotated *= c_s
-        for h, y in zip(columns, tangents):
-            m = h * inverse_gap
-            m *= -1j  # M = H~ / (i g), zero on the small-phase pairs
-            np.matmul(rotated, m.T, out=y)
-            y *= phases
-            y -= m @ c_s
-    else:
-        # A real H~ makes M = -i N, with N = H~/g real, so R M^T = (N (-i R)^T)^T
-        # and M c = N (-i c), where R = e^{-iEt} o c.  Both come from one real
-        # (d x |S|) @ (|S| x 2(T+1)) product per coupling, on the float view
-        # of (-i R)^T with -i c appended as its last column.
-        minus_i_c = np.empty_like(c_s)
-        minus_i_c.real, minus_i_c.imag = c_s.imag, -c_s.real  # exact
-        rotated = np.empty((support.size, grid.size + 1), dtype=complex)
-        np.conjugate(phases[:, support].T, out=rotated[:, :-1])
-        rotated[:, :-1] *= minus_i_c[:, None]
-        rotated[:, -1] = minus_i_c
-        products = np.empty((dec.dim, grid.size + 1), dtype=complex)
-        for h, y in zip(columns, tangents):
-            np.matmul(h * inverse_gap, rotated.view(float), out=products.view(float))
-            np.multiply(products[:, :-1].T, phases, out=y)
-            y -= products[:, -1]
-        del products
-    del phases, rotated
+    # M = -i N with N = H~/g (zero on the small-phase pairs), so R M^T =
+    # (N (-i R)^T)^T and M c = N (-i c), where R = e^{-iEt} o c.  Both come
+    # from one product per coupling, of N with (-i R)^T and -i c appended as
+    # its last column.
+    minus_i_c = np.empty_like(c_s)
+    minus_i_c.real, minus_i_c.imag = c_s.imag, -c_s.real  # exact
+    rotated = np.empty((support.size, grid.size + 1), dtype=complex)
+    np.conjugate(phases[:, support].T, out=rotated[:, :-1])
+    rotated[:, :-1] *= minus_i_c[:, None]
+    rotated[:, -1] = minus_i_c
+    products = np.empty((dec.dim, grid.size + 1), dtype=complex)
+    for h, y in zip(columns, tangents):
+        _times(h * inverse_gap, rotated, out=products)
+        np.multiply(products[:, :-1].T, phases, out=y)
+        y -= products[:, -1]
+    del products, phases, rotated
     tangents[:, grid == 0.0] = 0.0  # exact there; the difference leaves rounding
 
     # g = 0 (the diagonal and exactly degenerate levels): K~_ij(t) = H~_ij t,

@@ -41,8 +41,8 @@ NORM_ATOL = 1e-10
 NODES_PER_PANEL = 8
 PANELS_PER_UNIT_TIME = 16
 # Side of the square blocks the Hermiticity and realness scans read at a time,
-# and the dimension from which a real matrix meets a complex vector in two
-# real columns.
+# and the row count from which a real matrix meets complex data on its float
+# view (_times).
 _TILE = 64
 
 _GL_NODES, _GL_WEIGHTS = leggauss(NODES_PER_PANEL)
@@ -77,19 +77,32 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(np.vdot(x, x).real)
 
 
-def _times(m: np.ndarray, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """m @ v, or m^dag @ v, for a contiguous complex vector v.
+def _times(
+    m: np.ndarray, v: np.ndarray, adjoint: bool = False, out: np.ndarray | None = None
+) -> np.ndarray:
+    """m @ v, or m^dag @ v, for a vector or a (k, n) block of columns v.
 
-    numpy would copy a float64 ``m`` to complex128 for the mixed product;
-    here it is one real (d x d)@(d x 2) product on the real and imaginary
-    parts of v.  Below ``_TILE`` levels that copy costs less than the view,
-    so numpy's product is kept there.  The adjoint is taken as
-    (v^dag m)^dag, which copies no matrix.
+    The package's one rule for a real matrix meeting complex data.  numpy
+    would copy a float64 ``m`` to complex128 for the mixed product; here
+    it is one real product on the float view of v, whose real and
+    imaginary parts sit side by side as columns.  Below ``_TILE`` rows
+    that copy costs less than the view, so numpy's product is kept there.
+    A complex ``m`` takes numpy's product, with the adjoint taken as
+    (v^dag m)^dag, which copies no matrix.  ``out``, when given, receives
+    the product.
     """
-    if m.dtype.kind == "c" or m.shape[0] < _TILE:
-        return (v.conj() @ m).conj() if adjoint else m @ v
-    parts = v.view(float).reshape(-1, 2)
-    return ((m.T if adjoint else m) @ parts).view(complex).ravel()
+    if m.dtype.kind == "c" and adjoint:
+        w = np.matmul(v.conj().T, m, out=None if out is None else out.T)
+        return np.conjugate(w, out=w).T
+    a = m.T if adjoint else m
+    if m.dtype.kind == "c" or v.dtype.kind != "c" or m.shape[0] < _TILE:
+        # the operator form skips the ufunc's keyword parsing on small matrices
+        return a @ v if out is None else np.matmul(a, v, out=out)
+    parts = np.ascontiguousarray(v).view(float).reshape(v.shape[0], -1)
+    if out is None:
+        return (a @ parts).view(complex).reshape(a.shape[0], *v.shape[1:])
+    np.matmul(a, parts, out=out.view(float).reshape(a.shape[0], -1))
+    return out
 
 
 def _square_matrix(entries) -> np.ndarray:

@@ -25,6 +25,7 @@ from .operators import (
     HermitianOperator,
     SpectralDecomposition,
     StateVector,
+    _times,
     geometric_tensor,
     hermitian_eig,
 )
@@ -117,12 +118,11 @@ class PerturbationProblem:
         """
         vectors = self.spectral.eigenvectors
         block = vectors[:, columns]
-        adjoint = vectors.conj().T
         matrices = [h.matrix for h in self.perturbations]
         dtype = np.result_type(vectors, *matrices)
         gathered = np.empty((self.num_parameters, self.dim, block.shape[1]), dtype=dtype)
         for m, out in zip(matrices, gathered):
-            np.matmul(adjoint, m @ block, out=out)
+            _times(vectors, _times(m, block), adjoint=True, out=out)
         return gathered
 
     def with_level(self, level: int) -> "PerturbationProblem":
@@ -219,7 +219,8 @@ def first_order_correction(p: PerturbationProblem, mu: int) -> FirstOrderCorrect
     vectors = dec.eigenvectors
     n = p.level
 
-    amplitudes = vectors.conj().T @ (p.perturbations[mu].matrix @ vectors[:, n])
+    h_vn = _times(p.perturbations[mu].matrix, vectors[:, n])
+    amplitudes = _times(vectors, h_vn, adjoint=True)
     gaps = energies[n] - energies
     spread = float(energies[-1] - energies[0])
     gap_tol = DEGENERACY_RTOL * spread
@@ -239,7 +240,7 @@ def first_order_correction(p: PerturbationProblem, mu: int) -> FirstOrderCorrect
     usable = others & ~tiny_gap
     coeffs[usable] = amplitudes[usable] / gaps[usable]
 
-    raw_ambient = vectors @ coeffs
+    raw_ambient = _times(vectors, coeffs)
     squared_norm = float(np.real(np.vdot(raw_ambient, raw_ambient)))
     raw = StateVector(raw_ambient, normalized=False)
     direction = None

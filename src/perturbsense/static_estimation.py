@@ -27,7 +27,6 @@ __all__ = [
     "QfiMatrix",
     "UhlmannMatrix",
     "EstimationReport",
-    "qfi_single",
     "sld_single",
     "qfim_static",
     "uhlmann_static",
@@ -149,11 +148,6 @@ class EstimationReport:
         return math.isinf(self.bound_b)
 
 
-def qfi_single(c: FirstOrderCorrection) -> float:
-    """Leading-order QFI of a single coupling: four times the squared norm."""
-    return 4.0 * c.squared_norm
-
-
 def sld_single(c: FirstOrderCorrection, lam: float = 0.0) -> HermitianOperator:
     """Symmetric logarithmic derivative of the single-coupling model.
 
@@ -199,17 +193,14 @@ def uhlmann_static(corrections) -> UhlmannMatrix:
     return UhlmannMatrix(split_tensor(_correction_tensor(corrections))[1])
 
 
-def _numerical_rank(eigenvalues: np.ndarray) -> int:
-    top = float(eigenvalues[-1])
-    if top <= 0.0:
-        return 0
-    return int(np.count_nonzero(eigenvalues > SINGULARITY_RTOL * top))
-
-
-def _full_rank(eigenvalues: np.ndarray) -> np.ndarray:
-    """``_numerical_rank(eig) == P`` for each ascending spectrum of a stack."""
-    top = eigenvalues[..., -1]
-    return (top > 0.0) & (eigenvalues[..., 0] > SINGULARITY_RTOL * top)
+def _rank(eigenvalues: np.ndarray) -> np.ndarray:
+    """Numerical rank of each ascending spectrum of a stack (..., P): the
+    count of eigenvalues above ``SINGULARITY_RTOL`` times the largest.  A
+    QFIM is regular when its rank is P.  A largest eigenvalue that is not
+    positive gives rank 0, since every eigenvalue is then at most
+    ``SINGULARITY_RTOL`` times it.
+    """
+    return (eigenvalues > SINGULARITY_RTOL * eigenvalues[..., -1:]).sum(axis=-1)
 
 
 def _bound(eigenvalues: np.ndarray, regular: np.ndarray) -> np.ndarray:
@@ -239,7 +230,7 @@ def _quantumness(
 
 def bound_b(q: QfiMatrix) -> float:
     """Total-variance bound Tr[Q^-1]; +inf when Q is numerically singular."""
-    return float(_bound(q.spectrum, _full_rank(q.spectrum)))
+    return float(_bound(q.spectrum, _rank(q.spectrum) == q.num_parameters))
 
 
 def quantumness_r(q: QfiMatrix, d: UhlmannMatrix) -> float:
@@ -253,7 +244,7 @@ def quantumness_r(q: QfiMatrix, d: UhlmannMatrix) -> float:
     if d.num_parameters != q.num_parameters:
         raise DimensionMismatchError("QFIM and Uhlmann matrix sizes differ")
     eig = q.spectrum
-    rank = _numerical_rank(eig)
+    rank = int(_rank(eig))
     if rank < q.num_parameters:
         raise SingularQfimError(
             "QFIM is singular; parameters are not jointly identifiable", rank=rank
@@ -340,7 +331,7 @@ def assemble(qfim: np.ndarray, uhlmann: np.ndarray):
         raise DimensionMismatchError("QFIM and Uhlmann matrix sizes differ")
     eig = _qfim_spectrum(qfim)
     _check_symmetry(uhlmann, np.add, "Uhlmann matrix", "antisymmetric")
-    regular = _full_rank(eig)
+    regular = _rank(eig) == qfim.shape[-1]
     return eig, _bound(eig, regular), _quantumness(qfim, uhlmann, eig, regular)
 
 

@@ -24,12 +24,12 @@ from perturbsense import (
     k_operator_spectral,
     hermitian_eig,
     HermitianOperator,
-    qfi_single,
     qfim_dynamic,
     qfim_static,
     quantumness_r,
     scan_time,
     sld_two_param_explicit,
+    static_report,
     uhlmann_static,
 )
 from perturbsense import models, oracle
@@ -55,7 +55,7 @@ def corrections_for(problem):
 def test_criterion_1_qubit_static():
     with criterion("criterion 1 (qubit static QFI)"):
         problem = models.build(ModelSpec(ModelKind.QUBIT_1PARAM))
-        q = qfi_single(first_order_correction(problem, 0))
+        q = static_report([first_order_correction(problem, 0)]).qfim.entries[0, 0]
         assert abs(q - 1.0) <= 1e-15
 
         family = oracle.exact_eigenstate_family(problem)

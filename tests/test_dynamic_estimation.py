@@ -640,10 +640,12 @@ class TestSupportGather:
         amplitudes[levels] = random_state(rng, len(levels))
         return StateVector(amplitudes)
 
-    def assert_gather_matches(self, problem, probe, gathered):
+    def assert_gather_matches(self, problem, probe, gathered, projection_rtol=0.0):
+        """``projection_rtol`` bounds c = V^dag psi0 against numpy's product,
+        relative to its largest entry; bit-identical by default."""
         tangents, c = _probe_tangents(problem, probe, self.GRID)
         exact, full, c_ref = _exact_tangents(problem, probe, self.GRID)
-        assert np.array_equal(c, c_ref)
+        assert np.max(np.abs(c - c_ref)) <= projection_rtol * np.max(np.abs(c_ref))
         [(_, columns, block)] = gathered
         assert np.array_equal(columns, np.flatnonzero(c))
         assert block.shape == (problem.num_parameters, problem.dim, columns.size)
@@ -675,6 +677,37 @@ class TestSupportGather:
         gathered = record_gathers(monkeypatch)
         columns = self.assert_gather_matches(problem, probe, gathered)
         assert columns.size == problem.dim
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("dim", [64, 80])
+    def test_dense_model_at_the_float_view_size(self, dim, real, monkeypatch):
+        """A dense eigenbasis of at least ``_TILE`` levels and a dense probe.
+
+        With a real model every eigenbasis product meets complex data on its
+        float view, whose sums round differently from numpy's complex
+        product; with a complex one, numpy's product.
+        """
+        rng = np.random.default_rng(2800 + dim)
+        if real:
+            basis = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+            couplings = [rng.normal(size=(dim, dim)) for _ in range(2)]
+        else:
+            z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            basis = np.linalg.qr(z)[0]
+            couplings = [random_hermitian(rng, dim) for _ in range(2)]
+        h0 = (basis * rng.uniform(-3.0, 3.0, dim)) @ basis.conj().T
+        problem = PerturbationProblem(
+            h0=HermitianOperator(0.5 * (h0 + h0.conj().T)),
+            perturbations=tuple(HermitianOperator(0.5 * (m + m.conj().T)) for m in couplings),
+            level=0,
+        )
+        dtype = np.float64 if real else np.complex128
+        assert problem.coupling_columns([0]).dtype == dtype
+        assert problem.spectral.eigenvectors.dtype == dtype
+        gathered = record_gathers(monkeypatch)
+        probe = StateVector(random_state(rng, dim))
+        columns = self.assert_gather_matches(problem, probe, gathered, projection_rtol=1e-15)
+        assert columns.size == dim
 
     def test_tiny_amplitude_stays_in_the_support(self, monkeypatch):
         problem, _ = _degenerate_model(1, tiny_gap=False)

@@ -7,6 +7,7 @@ regenerates that file and says why.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -25,3 +26,11 @@ def test_default_output_is_byte_identical(capsys, monkeypatch, case):
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert captured.out == case["stdout"]
+
+
+def test_pinned_cases_are_the_generators():
+    """The argv of every pinned case, in order, is what ``make_golden.cases()`` lists."""
+    spec = importlib.util.spec_from_file_location("make_golden", GOLDEN / "make_golden.py")
+    make_golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_golden)
+    assert [case["argv"] for case in CASES] == make_golden.cases()

@@ -288,6 +288,38 @@ def _postcondition_cases():
 POSTCONDITION_CASES = _postcondition_cases()
 
 
+class TestTimes:
+    """operators._times, the one real-by-complex product rule, against numpy's product.
+
+    The dimensions straddle ``_TILE``, below which a real matrix takes
+    numpy's product and from which it meets complex data on its float view.
+    """
+
+    @pytest.mark.parametrize("v_kind", ["real", "complex"], ids=["real-v", "complex-v"])
+    @pytest.mark.parametrize("m_kind", ["real", "complex"], ids=["real-m", "complex-m"])
+    @pytest.mark.parametrize("dim", [63, 64, 65, 130])
+    def test_matches_numpy(self, dim, m_kind, v_kind):
+        rng = np.random.default_rng(dim)
+        m = rng.normal(size=(dim, dim))
+        if m_kind == "complex":
+            m = m + 1j * rng.normal(size=(dim, dim))
+        whole = rng.normal(size=(dim, 7))
+        if v_kind == "complex":
+            whole = whole + 1j * rng.normal(size=(dim, 7))
+        operands = {"vector": whole[:, 0].copy(), "strided": whole[:, 3], "block": whole}
+        for shape, v in operands.items():
+            for adjoint in (False, True):
+                expected = (m.conj().T if adjoint else m) @ v
+                scale = np.max(np.abs(expected))
+                got = operators._times(m, v, adjoint=adjoint)
+                assert got.shape == expected.shape and got.dtype == expected.dtype, shape
+                assert np.max(np.abs(got - expected)) <= 1e-15 * scale, (shape, adjoint)
+                out = np.empty_like(expected)
+                written = operators._times(m, v, adjoint=adjoint, out=out)
+                assert np.shares_memory(written, out) and np.array_equal(written, out)
+                assert np.max(np.abs(out - expected)) <= 1e-15 * scale, (shape, adjoint)
+
+
 def chirp(dim: int) -> np.ndarray:
     """The documented probe: exp(2 pi i phi j), phi the golden-ratio conjugate."""
     return np.exp(2j * np.pi * (np.sqrt(5.0) - 1.0) / 2.0 * np.arange(dim))

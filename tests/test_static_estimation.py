@@ -23,7 +23,6 @@ from perturbsense import (
     first_order_correction,
     overlaps,
     perturbed_state,
-    qfi_single,
     qfim_static,
     quantumness_r,
     sld_single,
@@ -55,9 +54,14 @@ def random_problem(rng, dim, n_params, level=None):
     )
 
 
+def single_qfi(correction):
+    """Q_11 of the one-coupling model: the single-coupling QFI."""
+    return static_report([correction]).qfim.entries[0, 0]
+
+
 class TestQfiSingle:
     def test_qubit(self):
-        assert qfi_single(first_order_correction(QUBIT1, 0)) == pytest.approx(1.0)
+        assert single_qfi(first_order_correction(QUBIT1, 0)) == pytest.approx(1.0)
 
     def test_zero_correction(self):
         problem = PerturbationProblem(
@@ -65,10 +69,10 @@ class TestQfiSingle:
             perturbations=(HermitianOperator(np.diag([1.0, -1.0]).astype(complex)),),
             level=0,
         )
-        assert qfi_single(first_order_correction(problem, 0)) == 0.0
+        assert single_qfi(first_order_correction(problem, 0)) == 0.0
 
     def test_anharmonic_cubic(self):
-        assert qfi_single(first_order_correction(ANHARMONIC, 0)) == pytest.approx(
+        assert single_qfi(first_order_correction(ANHARMONIC, 0)) == pytest.approx(
             29.0 / 6.0, abs=1e-10
         )
 
