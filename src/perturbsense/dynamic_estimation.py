@@ -13,18 +13,19 @@ c = V^dag psi0, H~_mu = V^dag H_mu V and gaps g_ij = E_i - E_j,
     M_mu = H~_mu / (i g),
 
 and only the columns of M_mu on the probe's support S = {j : c_j != 0}
-meet c.  So a whole time grid costs one O(d^3) eigensolve of H0, the
-gather :meth:`PerturbationProblem.coupling_columns` of H~_mu[:, S] in
-O(P d^2 |S|), one (d x |S|) @ (|S| x T) product per coupling in
-O(P d |S| T), and O(d T) for the phases.  Nothing of size (P, d, d) is
-held; a probe with |S| < d never forms one.  Every preset probe sits on
-one eigenlevel of a diagonal H0, so |S| = 1; a dense probe, or an
-eigenstate of a dense H0 whose c carries rounding on every level, has
-|S| = d and the O(P d^2 T) cost.  M_mu = -i H~_mu / g, so the product
-runs on N_mu = H~_mu / g through :func:`~perturbsense.operators._times`:
-a real model's operators are stored as float64, so its N_mu is float64
-and the product a real (d x |S|) @ (|S| x 2T) one, half the flops of the
-complex product.
+meet c.  So a whole time grid costs one O(d^3) eigensolve of H0, and per
+coupling the gather :meth:`PerturbationProblem.coupling_columns` of
+H~_mu[:, S] in O(d^2 |S|) and one (d x |S|) @ (|S| x T) product in
+O(d |S| T), plus O(d T) for the phases.  The static correction reads the
+same gather with S = {level}.  One coupling's (d, |S|) block is held at a
+time, so nothing of size (P, d, |S|) is; a probe with |S| < d never forms
+a d x d one.  Every preset probe sits on one eigenlevel of a diagonal H0,
+so |S| = 1; a dense probe, or an eigenstate of a dense H0 whose c carries
+rounding on every level, has |S| = d and the O(P d^2 T) cost.
+M_mu = -i H~_mu / g, so the product runs on N_mu = H~_mu / g through
+:func:`~perturbsense.operators._times`: a real model's operators are
+stored as float64, so its N_mu is float64 and the product a real
+(d x |S|) @ (|S| x 2T) one, half the flops of the complex product.
 
 Pairs with g = 0 exactly (the diagonal and exactly degenerate levels)
 have K~_ij(t) = H~_ij t: they enter as one rank-1 term t (H~ o Z) c per
@@ -32,7 +33,9 @@ coupling, Z the zero-gap mask.  Pairs whose phase 0 < |g| t stays below
 ``SMALL_PHASE`` at the smallest positive grid time would lose the
 factorized difference to cancellation; they take the exact kernel
 t e^{igt/2} sinc(gt/2) instead.  A grid with no positive time has
-K_mu = 0 exactly and returns zero tangents before any of this.
+K_mu = 0 exactly and returns zero tangents before any of this; one with
+a time whose phases E t leave the float range is refused with
+ValueError before any phase is formed.
 
 The full K operators (spectral closed form and Gauss-Legendre
 quadrature) and :func:`qfim_dynamic` on them remain as cross-checks of
@@ -62,15 +65,14 @@ from .operators import (
     hermitian_eig,
     integrate_operator,
 )
-from .perturbation import PerturbationProblem, first_order_correction
+from .perturbation import PerturbationProblem, _correction
 from .static_estimation import (
     EstimationReport,
     _report_at,
     assemble,
-    bound_b,
     make_report,
-    qfim_static,
     split_tensor,
+    static_report,
 )
 
 __all__ = [
@@ -230,13 +232,14 @@ def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray)
 
     Returns the tangents, shape (T, P, d), and the probe c = V^dag psi0.
     Only the columns of H~_mu on the probe's support S = {j : c_j != 0}
-    enter, so the pair work runs on a (d, |S|) block: O(P d^2 |S|) to
-    gather the columns, O(P d |S| T) for the products and O(d T) for the
-    phases.  S keeps every entry that is not exactly zero, however small:
-    an eigenstate probe of a dense H0 has rounding-level amplitudes on
-    every level, and with them full support and the full cost.  No
-    (P, d, d) array is formed for |S| < d, and no d x d x T or
-    P x P x d x T array at all.
+    enter, so the pair work runs on one coupling's (d, |S|) block at a
+    time: O(d^2 |S|) to gather it, O(d |S| T) for its product, and O(d T)
+    for the phases.  S keeps every entry that is not exactly zero, however
+    small: an eigenstate probe of a dense H0 has rounding-level amplitudes
+    on every level, and with them full support and the full cost.  No
+    (P, d, |S|) array is formed, and no d x d x T or P x P x d x T array
+    at all.  A grid whose phases E t leave the float range raises
+    ValueError before any phase is formed.
     """
     if psi0.dim != p.dim:
         raise DimensionMismatchError(
@@ -249,11 +252,17 @@ def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray)
         return np.zeros((grid.size, p.num_parameters, dec.dim), dtype=complex), c
     support = np.flatnonzero(c)
     c_s = c[support]
-    columns = p.coupling_columns(support)
     # Centring the spectrum keeps the phases e^{iEt} as accurate as the gaps;
     # a common energy shift cancels in e^{iE_i t} M_ij e^{-iE_j t}.  Each end
     # is halved first, so the centre stays finite near the float range.
     energies = dec.eigenvalues - (0.5 * dec.eigenvalues[0] + 0.5 * dec.eigenvalues[-1])
+    with np.errstate(over="ignore"):
+        reach = positive * np.max(np.abs(energies))
+    if not np.isfinite(reach[-1]):
+        t = float(positive[np.argmin(np.isfinite(reach))])
+        raise ValueError(
+            f"interaction time {t} is too long: its phases E t overflow the float range"
+        )
     gaps = energies[:, None] - energies[support]
     with np.errstate(over="ignore"):  # an infinite phase is not small either
         small = np.abs(gaps) * positive[0] < SMALL_PHASE
@@ -281,10 +290,17 @@ def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray)
     rotated[:, :-1] *= minus_i_c[:, None]
     rotated[:, -1] = minus_i_c
     products = np.empty((dec.dim, grid.size + 1), dtype=complex)
-    for h, y in zip(columns, tangents):
+    # H~_ij c_j on the zero-gap and small-phase pairs, read from the same
+    # block as the product
+    zero_terms = np.empty((p.num_parameters, zero_rows.size), dtype=complex)
+    sinc_terms = np.empty((p.num_parameters, rows.size), dtype=complex)
+    for mu, y in enumerate(tangents):
+        h = p.coupling_columns(mu, support)
         _times(h * inverse_gap, rotated, out=products)
         np.multiply(products[:, :-1].T, phases, out=y)
         y -= products[:, -1]
+        zero_terms[mu] = h[zero_rows, zero_cols] * c_s[zero_cols]
+        sinc_terms[mu] = h[rows, cols] * c_s[cols]
     del products, phases, rotated
     tangents[:, grid == 0.0] = 0.0  # exact there; the difference leaves rounding
 
@@ -292,15 +308,14 @@ def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray)
     # so each coupling adds one rank-1 term t (H~ o Z) c.  Its component
     # along c only adds a phase, which geometric_tensor projects out again;
     # kept, its square would grow as t^2 and cancel there, so it is dropped
-    weights = np.zeros((p.num_parameters, dec.dim), dtype=complex)
-    np.add.at(weights, (slice(None), zero_rows), columns[:, zero_rows, zero_cols] * c_s[zero_cols])
-    weights -= np.multiply.outer(weights @ c.conj() / np.vdot(c, c), c)
-    for y, w in zip(tangents, weights):
+    zero_weights = np.zeros((p.num_parameters, dec.dim), dtype=complex)
+    np.add.at(zero_weights, (slice(None), zero_rows), zero_terms)
+    zero_weights -= np.multiply.outer(zero_weights @ c.conj() / np.vdot(c, c), c)
+    for y, w in zip(tangents, zero_weights):
         y += np.multiply.outer(grid, w)
 
     # g != 0 but |g| t_min < SMALL_PHASE: the exact kernel, at most d pairs
     # at a time
-    weights = columns[:, rows, cols] * c_s[cols]
     for lo in range(0, rows.size, dec.dim):
         chunk = slice(lo, lo + dec.dim)
         g = sinc_gaps[chunk]
@@ -309,7 +324,7 @@ def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray)
         np.cos(half_phase, out=kernel.real)
         np.sin(half_phase, out=kernel.imag)
         kernel *= kernel.imag * (2.0 / g)  # t sinc(gt/2) = sin(gt/2) (2/g)
-        for y, w in zip(tangents, weights):
+        for y, w in zip(tangents, sinc_terms):
             np.add.at(y, (slice(None), rows[chunk]), kernel * w[chunk])
     return np.swapaxes(tangents, 0, 1), c
 
@@ -330,14 +345,11 @@ def _static_reference(p: PerturbationProblem, c: np.ndarray) -> float | None:
     level = int(np.argmax(projections))
     if projections[level] < 1.0 - 1e-10:
         return None
-    at_level = p.with_level(level)
     try:
-        corrections = [
-            first_order_correction(at_level, mu) for mu in range(p.num_parameters)
-        ]
+        corrections = [_correction(p, level, mu) for mu in range(p.num_parameters)]
     except DegeneracyError:
         return None
-    return bound_b(qfim_static(corrections))
+    return static_report(corrections).bound_b
 
 
 def scan_time(p: PerturbationProblem, psi0: StateVector, times) -> TimeScan:

@@ -26,7 +26,6 @@ from .static_estimation import QfiMatrix, UhlmannMatrix
 
 __all__ = [
     "exact_eigenstate",
-    "exact_eigenstate_family",
     "fidelity_qfi",
     "fd_qfim",
     "exact_evolved_family",
@@ -89,15 +88,6 @@ def _tracked(p: PerturbationProblem, lam: np.ndarray, end: np.ndarray) -> StateV
     if abs(overlap) < 1e-12:
         raise LevelTrackingError("tracked eigenvector is orthogonal to the start")
     return StateVector(v_prev * np.conj(overlap / abs(overlap)))
-
-
-def exact_eigenstate_family(p: PerturbationProblem) -> Callable[[np.ndarray], StateVector]:
-    """Map lambda -> exact tracked eigenstate, for the finite-difference routines."""
-
-    def family(lambdas) -> StateVector:
-        return exact_eigenstate(p, lambdas)
-
-    return family
 
 
 def _check_step(eps: float, lam, shift: float) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -106,31 +106,22 @@ class PerturbationProblem:
     def spectral(self) -> SpectralDecomposition:
         return hermitian_eig(self.h0)
 
-    def coupling_columns(self, columns) -> np.ndarray:
-        """Columns of the couplings in the H0 eigenbasis, H~_mu = V^dag H_mu V.
+    def coupling_columns(self, mu: int, columns) -> np.ndarray:
+        """Columns of coupling ``mu`` in the H0 eigenbasis, H~_mu = V^dag H_mu V.
 
-        Returns V^dag (H_mu V[:, columns]) for every mu, shape
-        (P, d, len(columns)): O(P d^2 len(columns)) work and nothing
-        cached.  float64 when H0 and every H_mu are real, complex
-        otherwise.  The dynamical engine gathers the columns on its probe's
-        eigenbasis support; a caller that varies the probe (an optimizer
+        Returns V^dag (H_mu V[:, columns]): a vector for one column index,
+        shape (d, k) for a sequence of k, in O(d^2 k) work with nothing
+        cached.  float64 when H0 and H_mu are real, complex otherwise.  Both
+        schemes read their tangents from it: the static correction gathers
+        the reference level's column, the dynamical engine the columns on
+        its probe's support.  A caller that varies the probe (an optimizer
         over probes, say) gathers every column once instead.
         """
+        if not 0 <= mu < self.num_parameters:
+            raise ValueError(f"parameter index {mu} outside [0, {self.num_parameters})")
         vectors = self.spectral.eigenvectors
-        block = vectors[:, columns]
-        matrices = [h.matrix for h in self.perturbations]
-        dtype = np.result_type(vectors, *matrices)
-        gathered = np.empty((self.num_parameters, self.dim, block.shape[1]), dtype=dtype)
-        for m, out in zip(matrices, gathered):
-            _times(vectors, _times(m, block), adjoint=True, out=out)
-        return gathered
-
-    def with_level(self, level: int) -> "PerturbationProblem":
-        """The same Hamiltonian with another reference level, sharing the solved spectrum."""
-        other = replace(self, level=level)
-        # where cached_property stores its value
-        other.__dict__["spectral"] = self.spectral
-        return other
+        block = _times(self.perturbations[mu].matrix, vectors[:, columns])
+        return _times(vectors, block, adjoint=True)
 
     def hamiltonian(self, lambdas) -> HermitianOperator:
         """Assemble h0 + sum_mu lambda_mu H_mu, in the dtype of its operators."""
@@ -212,15 +203,14 @@ def first_order_correction(p: PerturbationProblem, mu: int) -> FirstOrderCorrect
     :class:`DegeneracyError` when a coupled level is degenerate with the
     reference level (relative gap below 1e-8 of the spectral spread).
     """
-    if not 0 <= mu < p.num_parameters:
-        raise ValueError(f"parameter index {mu} outside [0, {p.num_parameters})")
+    return _correction(p, p.level, mu)
+
+
+def _correction(p: PerturbationProblem, n: int, mu: int) -> FirstOrderCorrection:
+    """:func:`first_order_correction` of level ``n`` of ``p``, from column n of H~_mu."""
+    amplitudes = p.coupling_columns(mu, n)
     dec = p.spectral
     energies = dec.eigenvalues
-    vectors = dec.eigenvectors
-    n = p.level
-
-    h_vn = _times(p.perturbations[mu].matrix, vectors[:, n])
-    amplitudes = _times(vectors, h_vn, adjoint=True)
     gaps = energies[n] - energies
     spread = float(energies[-1] - energies[0])
     gap_tol = DEGENERACY_RTOL * spread
@@ -240,7 +230,7 @@ def first_order_correction(p: PerturbationProblem, mu: int) -> FirstOrderCorrect
     usable = others & ~tiny_gap
     coeffs[usable] = amplitudes[usable] / gaps[usable]
 
-    raw_ambient = _times(vectors, coeffs)
+    raw_ambient = _times(dec.eigenvectors, coeffs)
     squared_norm = float(np.real(np.vdot(raw_ambient, raw_ambient)))
     raw = StateVector(raw_ambient, normalized=False)
     direction = None

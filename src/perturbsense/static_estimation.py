@@ -170,27 +170,14 @@ def sld_single(c: FirstOrderCorrection, lam: float = 0.0) -> HermitianOperator:
     return HermitianOperator(sld)
 
 
-def _correction_tensor(corrections) -> np.ndarray:
-    if len(corrections) < 1:
-        raise ValueError("at least one correction is required")
-    raws = [c.raw.amplitudes for c in corrections]
-    dim = raws[0].size
-    for v in raws:
-        if v.size != dim:
-            raise DimensionMismatchError("corrections live in different spaces")
-    # The corrections are orthogonal to the reference state, so the
-    # projection term of the geometric tensor is at the rounding level.
-    return geometric_tensor(corrections[0].reference.amplitudes, np.stack(raws))
-
-
 def qfim_static(corrections) -> QfiMatrix:
-    """Leading-order QFIM: 4 Re of the Gram matrix of the raw corrections."""
-    return QfiMatrix(split_tensor(_correction_tensor(corrections))[0])
+    """The QFIM of :func:`static_report`; kept because ``bench/tracing.py`` binds it."""
+    return static_report(corrections).qfim
 
 
 def uhlmann_static(corrections) -> UhlmannMatrix:
-    """Leading-order Uhlmann curvature: 4 Im of the raw-correction Gram matrix."""
-    return UhlmannMatrix(split_tensor(_correction_tensor(corrections))[1])
+    """The curvature D of :func:`static_report`; kept because ``bench/tracing.py`` binds it."""
+    return static_report(corrections).uhlmann
 
 
 def _rank(eigenvalues: np.ndarray) -> np.ndarray:
@@ -363,5 +350,16 @@ def make_report(tensor: np.ndarray) -> EstimationReport:
 
 
 def static_report(corrections) -> EstimationReport:
-    """Bundle QFIM, Uhlmann curvature, B and R for a set of corrections."""
-    return make_report(_correction_tensor(corrections))
+    """QFIM, Uhlmann curvature, B and R of a set of first-order corrections.
+
+    The package's one static Gram: Q is 4 Re and D is 4 Im of the Gram
+    matrix of the raw corrections, read by :func:`make_report`.
+    """
+    if len(corrections) < 1:
+        raise ValueError("at least one correction is required")
+    raws = [c.raw.amplitudes for c in corrections]
+    if any(v.size != raws[0].size for v in raws):
+        raise DimensionMismatchError("corrections live in different spaces")
+    # The corrections are orthogonal to the reference state, so the
+    # projection term of the geometric tensor is at the rounding level.
+    return make_report(geometric_tensor(corrections[0].reference.amplitudes, np.stack(raws)))

@@ -50,16 +50,15 @@ def force_complex(monkeypatch) -> None:
 
 
 def record_gathers(monkeypatch) -> list:
-    """Record (problem, columns, result) of every ``coupling_columns`` call from now on."""
+    """Record (problem, mu, columns) of every ``coupling_columns`` call from now on."""
     from perturbsense import PerturbationProblem
 
     calls = []
     gather = PerturbationProblem.coupling_columns
 
-    def recording(problem, columns):
-        result = gather(problem, columns)
-        calls.append((problem, np.array(columns), result))
-        return result
+    def recording(problem, mu, columns):
+        calls.append((problem, mu, np.array(columns)))
+        return gather(problem, mu, columns)
 
     monkeypatch.setattr(PerturbationProblem, "coupling_columns", recording)
     return calls

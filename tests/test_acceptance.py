@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def test_criterion_1_qubit_static():
         q = static_report([first_order_correction(problem, 0)]).qfim.entries[0, 0]
         assert abs(q - 1.0) <= 1e-15
 
-        family = oracle.exact_eigenstate_family(problem)
+        family = partial(oracle.exact_eigenstate, problem)
         q_oracle = oracle.fidelity_qfi(lambda l: family(np.array([l])), 1e-3, 1e-4)
         assert abs(q_oracle - 1.0) <= 0.01
 
@@ -293,7 +294,7 @@ def test_criterion_10_oracle_equivalence():
 
             for scheme, q_engine, d_engine in engine_pairs:
                 if scheme == "static":
-                    family = oracle.exact_eigenstate_family(problem)
+                    family = partial(oracle.exact_eigenstate, problem)
                 else:
                     family = oracle.exact_evolved_family(problem, probe, 1.3)
                 q_hi, d_hi = oracle.fd_qfim(family, lam)
@@ -313,7 +314,7 @@ def test_criterion_10_oracle_equivalence():
 
         # gauge robustness
         problem = models.build(ModelSpec(ModelKind.QUTRIT_2PARAM, alpha=1.0))
-        family = oracle.exact_eigenstate_family(problem)
+        family = partial(oracle.exact_eigenstate, problem)
 
         def gauged(lam_vec):
             phase = np.exp(

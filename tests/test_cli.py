@@ -130,13 +130,47 @@ class TestDynamicCommand:
             ["dynamic", "--model", "anharmonic", "--time", "1e160"],
             ["scan", "--model", "anharmonic", "--t-min", "0", "--t-max", "1e307", "--t-steps", "3"],
             ["dynamic", "--model", "qubit", "--time", "1e308"],
+            ["dynamic", "--model", "anharmonic", "--time", "1e306"],
         ],
-        ids=["anharmonic-1e160", "anharmonic-scan-1e307", "qubit-1e308"],
+        ids=["anharmonic-1e160", "anharmonic-scan-1e307", "qubit-1e308", "anharmonic-1e306"],
     )
     def test_huge_time_reports_without_warning(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert out and err == ""
+
+    OVERFLOWING = [
+        (["dynamic", "--model", "anharmonic", "--time", "3e307"], "3e+307"),
+        (["scan", "--model", "anharmonic", "--t-min", "0", "--t-max", "1e308", "--t-steps", "3"],
+         "5e+307"),
+        (["oracle-check", "--model", "anharmonic", "--lambda", "1e-3", "1e-3", "--time", "1e308"],
+         "1e+308"),
+    ]
+    OVERFLOW_IDS = ["dynamic-3e307", "scan-1e308", "oracle-check-1e308"]
+
+    @pytest.mark.parametrize("argv, time", OVERFLOWING, ids=OVERFLOW_IDS)
+    def test_overflowing_phases_exit_2(self, capsys, argv, time):
+        # |E| t leaves the float range: one typed error names the first such
+        # grid time, and no RuntimeWarning comes first
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: interaction time {time} is too long: its phases E t overflow the float range\n"
+        )
+
+    @pytest.mark.parametrize("argv, time", OVERFLOWING, ids=OVERFLOW_IDS)
+    def test_overflowing_phases_print_one_line(self, argv, time):
+        """Outside the test run's warning filter too, stderr holds the error line alone."""
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        result = subprocess.run(
+            [sys.executable, "-m", "perturbsense.cli", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: interaction time {time} is too long")
+        assert result.stderr.count("\n") == 1
 
 
 class TestScanCommand:
@@ -658,7 +692,8 @@ class TestRealCouplings:
                 code, out, err = run_cli(capsys, *argv)
                 assert code == 0, (argv, err)
                 texts.append(out)
-            return texts, {block.dtype for _, _, block in gathered}
+            calls = list(gathered)
+            return texts, {p.coupling_columns(mu, columns).dtype for p, mu, columns in calls}
 
         real, real_dtypes = outputs()
         force_complex(monkeypatch)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -496,7 +497,7 @@ class TestProbeSpaceEngine:
     @pytest.mark.parametrize("seed", range(6))
     def test_real_stack_with_dense_eigenbasis(self, seed, grid_name):
         problem, probe = _random_real_model(seed)
-        assert problem.coupling_columns([0]).dtype == np.float64
+        assert problem.coupling_columns(0, [0]).dtype == np.float64
         vectors = problem.spectral.eigenvectors
         assert np.count_nonzero(vectors) == vectors.size  # V is no permutation
         self.assert_matches_reference(problem, probe, self.GRIDS[grid_name])
@@ -509,28 +510,43 @@ class TestProbeSpaceEngine:
         energies = problem.spectral.eigenvalues
         assert energies[0] == energies[1]  # row 0 holds two zero-gap pairs
         assert (energies[2] - energies[1] < 1e-6) == tiny_gap
-        assert problem.coupling_columns([0]).dtype == (np.complex128 if seed % 2 else np.float64)
+        assert problem.coupling_columns(0, [0]).dtype == (np.complex128 if seed % 2 else np.float64)
         self.assert_matches_reference(problem, probe, self.GRIDS[grid_name])
 
     def test_coupling_stack_dtype_and_values(self):
         anharmonic = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
         qutrit = models.build(ModelSpec(ModelKind.QUTRIT_2PARAM, alpha=1.2))
         every = np.arange(16)
-        assert anharmonic.coupling_columns(every).dtype == np.float64
-        assert anharmonic.coupling_columns(every).shape == (2, 16, 16)
-        assert qutrit.coupling_columns(np.arange(3)).dtype == np.complex128
+        assert anharmonic.coupling_columns(1, every).dtype == np.float64
+        assert anharmonic.coupling_columns(1, every).shape == (16, 16)
+        assert anharmonic.coupling_columns(1, 3).shape == (16,)
+        # each coupling's columns take that coupling's dtype: the qutrit's
+        # first coupling is real, its second complex
+        assert qutrit.coupling_columns(0, np.arange(3)).dtype == np.float64
+        assert qutrit.coupling_columns(1, np.arange(3)).dtype == np.complex128
         assert set(vars(anharmonic)) == UNCACHED  # nothing shared to guard
         for p in (anharmonic, qutrit):
             v = p.spectral.eigenvectors
-            for h, h_eig in zip(p.perturbations, p.coupling_columns(np.arange(p.dim))):
+            for mu, h in enumerate(p.perturbations):
+                h_eig = p.coupling_columns(mu, np.arange(p.dim))
                 assert np.max(np.abs(v.conj().T @ h.matrix @ v - h_eig)) <= 1e-12
+                for n in range(p.dim):  # a scalar index reads the same column
+                    column = p.coupling_columns(mu, n)
+                    assert np.array_equal(column, p.coupling_columns(mu, [n])[:, 0])
+
+    @pytest.mark.parametrize("mu", [-1, 2])
+    def test_coupling_columns_rejects_a_parameter_out_of_range(self, mu):
+        with pytest.raises(ValueError, match=r"parameter index -?\d outside \[0, 2\)"):
+            ANHARMONIC.coupling_columns(mu, [0])
 
     def test_static_path_never_builds_the_stack(self, capsys, monkeypatch):
+        """The static path gathers one column, the level's, once per coupling."""
         gathered = record_gathers(monkeypatch)
         p = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
         static_report([first_order_correction(p, mu) for mu in range(2)])
-        assert "spectral" in vars(p) and not gathered
-        assert set(vars(p.with_level(2))) == UNCACHED
+        assert [(q, mu, columns.tolist()) for q, mu, columns in gathered] == [
+            (p, 0, p.level), (p, 1, p.level)
+        ]
 
         resolved = []
         resolve = cli._resolve_problem
@@ -542,12 +558,33 @@ class TestProbeSpaceEngine:
 
         monkeypatch.setattr(cli, "_resolve_problem", recording)
         argv = ["--model", "anharmonic", "--output-format", "csv"]
-        assert cli.main(["oracle-check", *argv, "--lambda", "1e-3", "1e-3"]) == 0
-        assert cli.main(["static", *argv]) == 0
-        assert cli.main(["scan", *argv, "--t-min", "0.1", "--t-max", "1", "--t-steps", "3"]) == 0
+        commands = [
+            ["oracle-check", *argv, "--lambda", "1e-3", "1e-3"],
+            ["static", *argv],
+            ["scan", *argv, "--t-min", "0.1", "--t-max", "1", "--t-steps", "3"],
+        ]
+        for command in commands:
+            gathered.clear()
+            assert cli.main(command) == 0
+            problem = resolved[-1]
+            # the vacuum probe's support is the level itself
+            support = [(problem, mu, [0]) for mu in range(2)] if command[0] == "scan" else []
+            static = [(problem, mu, problem.level) for mu in range(2)]
+            calls = [(q, mu, columns.tolist()) for q, mu, columns in gathered]
+            assert calls == support + static, command[0]
         capsys.readouterr()
-        gathered_from = [problem for problem, _, _ in gathered]
-        assert [p in gathered_from for p in resolved] == [False, False, True]
+
+    @pytest.mark.parametrize("level", [2, 5])
+    def test_static_reference_at_another_level(self, level, monkeypatch):
+        """A probe on eigenstate k != p.level gets level k's static bound, from one eigensolve."""
+        solves = count_eigh(monkeypatch)
+        p = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
+        assert p.level != level
+        scan = scan_time(p, p.spectral.eigenstate(level), [0.5, 1.0])
+        assert len(solves) == 1
+        at_level = replace(p, level=level)
+        expected = static_report([first_order_correction(at_level, mu) for mu in range(2)])
+        assert scan.static_reference == expected.bound_b
 
     @pytest.mark.parametrize("seed", range(4))
     def test_change_of_basis_invariance(self, seed):
@@ -573,7 +610,7 @@ class TestProbeSpaceEngine:
                 perturbations=tuple(map(rotate, problem.perturbations)),
                 level=0,
             )
-            assert moved.coupling_columns([0]).dtype == dtype
+            assert moved.coupling_columns(0, [0]).dtype == dtype
             q_moved, d_moved = _scan_arrays(moved, StateVector(u @ probe.amplitudes), grid)
             scale = float(np.max(np.abs(q)))
             assert np.max(np.abs(q_moved - q)) <= self.RTOL * scale
@@ -646,10 +683,15 @@ class TestSupportGather:
         tangents, c = _probe_tangents(problem, probe, self.GRID)
         exact, full, c_ref = _exact_tangents(problem, probe, self.GRID)
         assert np.max(np.abs(c - c_ref)) <= projection_rtol * np.max(np.abs(c_ref))
-        [(_, columns, block)] = gathered
+        calls = list(gathered)
+        assert [(q, mu) for q, mu, _ in calls] == [(problem, mu) for mu in range(len(full))]
+        columns = calls[0][2]
+        assert all(np.array_equal(cols, columns) for _, _, cols in calls)
         assert np.array_equal(columns, np.flatnonzero(c))
-        assert block.shape == (problem.num_parameters, problem.dim, columns.size)
-        assert np.max(np.abs(block - full[:, :, columns])) <= self.RTOL * np.max(np.abs(full))
+        for mu, h in enumerate(full):
+            block = problem.coupling_columns(mu, columns)
+            assert block.shape == (problem.dim, columns.size)
+            assert np.max(np.abs(block - h[:, columns])) <= self.RTOL * np.max(np.abs(full))
         scale = np.max(np.abs(_off_probe(exact, c)))
         assert np.max(np.abs(_off_probe(tangents - exact, c))) <= self.RTOL * scale
         return columns
@@ -658,7 +700,7 @@ class TestSupportGather:
     @pytest.mark.parametrize("seed", range(4))
     def test_diagonal_h0(self, seed, support, monkeypatch):
         problem, probe = _degenerate_model(seed, tiny_gap=False)
-        assert problem.coupling_columns([0]).dtype == (np.complex128 if seed % 2 else np.float64)
+        assert problem.coupling_columns(0, [0]).dtype == (np.complex128 if seed % 2 else np.float64)
         rng = np.random.default_rng(2700 + seed)
         dim = problem.dim
         levels = {"one": [3], "few": [0, 2, dim - 1], "dense": list(range(dim))}[support]
@@ -702,7 +744,7 @@ class TestSupportGather:
             level=0,
         )
         dtype = np.float64 if real else np.complex128
-        assert problem.coupling_columns([0]).dtype == dtype
+        assert problem.coupling_columns(0, [0]).dtype == dtype
         assert problem.spectral.eigenvectors.dtype == dtype
         gathered = record_gathers(monkeypatch)
         probe = StateVector(random_state(rng, dim))
@@ -713,7 +755,8 @@ class TestSupportGather:
         problem, _ = _degenerate_model(1, tiny_gap=False)
         amplitudes = np.zeros(problem.dim, dtype=complex)
         amplitudes[[2, 4]] = 1.0, 1e-300
-        assert problem.coupling_columns([2])[:, 4, 0].all()  # level 4 is coupled to level 2
+        # level 4 is coupled to level 2
+        assert all(problem.coupling_columns(mu, 2)[4] for mu in range(2))
         gathered = record_gathers(monkeypatch)
         assert self.assert_gather_matches(problem, StateVector(amplitudes), gathered).tolist() == [2, 4]
 
@@ -721,15 +764,26 @@ class TestSupportGather:
         problem = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=1024))
         gathered = record_gathers(monkeypatch)
         scan = scan_time(problem, models.vacuum_state(1024), self.GRID)
-        [(gathered_from, columns, block)] = gathered
-        assert gathered_from is problem and columns.tolist() == [0]
-        assert block.shape == (2, 1024, 1)
+        # the probe's support, then the static reference's level: the same column
+        calls = [(q, mu, columns.tolist()) for q, mu, columns in gathered]
+        assert calls == [(problem, 0, [0]), (problem, 1, [0]), (problem, 0, 0), (problem, 1, 0)]
+        assert problem.coupling_columns(0, [0]).shape == (1024, 1)
         for t, q in zip(self.GRID, scan.qfim):
             q11, q22, q12 = models.reference_anharmonic_dynamic(t)
             assert np.max(np.abs(q - [[q11, q12], [q12, q22]])) <= 1e-12 * q11
 
 
 class TestLongTimes:
+    def test_overflowing_phases_raise_before_any_phase(self, monkeypatch):
+        def no_cos(*args, **kwargs):
+            raise AssertionError("a phase was formed")
+
+        monkeypatch.setattr(np, "cos", no_cos)
+        with pytest.raises(ValueError, match=r"^interaction time 1e\+308 is too long"):
+            dynamic_report(ANHARMONIC, VACUUM, 1e308)
+        with pytest.raises(ValueError, match=r"^interaction time 1e\+308 is too long"):
+            scan_time(ANHARMONIC, VACUUM, [0.0, 1.0, 1e308])
+
     @pytest.mark.parametrize("t", [1e6, 1e8, 1e10, 1e12])
     def test_vacuum_matches_closed_form(self, t):
         # the zero-gap term's part along the probe grows as t but is only a

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -209,7 +210,7 @@ class TestSharedSolve:
         with monkeypatch.context() as m:
             calls = count_eigh(m)
             separate = (
-                oracle.fd_qfim(oracle.exact_eigenstate_family(problem), lam),
+                oracle.fd_qfim(partial(oracle.exact_eigenstate, problem), lam),
                 oracle.fd_qfim(oracle.exact_evolved_family(problem, probe, self.T), lam),
             )
             assert len(calls) == 18
@@ -245,7 +246,7 @@ class TestSharedSolve:
 
 class TestFidelityQfi:
     def test_qubit_static(self):
-        family = oracle.exact_eigenstate_family(QUBIT1)
+        family = partial(oracle.exact_eigenstate, QUBIT1)
         q = oracle.fidelity_qfi(lambda l: family(np.array([l])), 1e-3, 1e-4)
         assert q == pytest.approx(1.0, rel=0.01)
 
@@ -255,12 +256,12 @@ class TestFidelityQfi:
 
     def test_anharmonic_cubic(self):
         problem = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
-        family = oracle.exact_eigenstate_family(problem)
+        family = partial(oracle.exact_eigenstate, problem)
         q = oracle.fidelity_qfi(lambda l: family(np.array([l, 0.0])), 1e-3, 1e-4)
         assert q == pytest.approx(29.0 / 6.0, rel=0.01)
 
     def test_step_halving_consistency(self):
-        family = oracle.exact_eigenstate_family(QUBIT1)
+        family = partial(oracle.exact_eigenstate, QUBIT1)
         q_coarse = oracle.fidelity_qfi(lambda l: family(np.array([l])), 1e-3, 1e-4)
         q_fine = oracle.fidelity_qfi(lambda l: family(np.array([l])), 1e-3, 5e-5)
         assert abs(q_coarse - q_fine) <= 1e-3 * abs(q_fine)
@@ -276,7 +277,7 @@ class TestFidelityQfi:
 class TestFdQfim:
     def test_qutrit_identity_block(self):
         problem = models.build(ModelSpec(ModelKind.QUTRIT_2PARAM, alpha=np.pi / 2))
-        family = oracle.exact_eigenstate_family(problem)
+        family = partial(oracle.exact_eigenstate, problem)
         q, d = oracle.fd_qfim(family, np.array([1e-3, 1e-3]))
         assert np.max(np.abs(q.entries - 4.0 * np.eye(2))) <= 0.01 * 4.0
         assert np.max(np.abs(d.entries)) <= 1e-6
@@ -294,7 +295,7 @@ class TestFdQfim:
     def test_flat_direction_gives_zero_row_and_singular_bound(self):
         from perturbsense import SingularQfimError, bound_b, quantumness_r
 
-        state_family = oracle.exact_eigenstate_family(QUBIT1)
+        state_family = partial(oracle.exact_eigenstate, QUBIT1)
 
         def padded(lam):
             return state_family(np.array([lam[0]]))  # ignores lam[1]
@@ -308,7 +309,7 @@ class TestFdQfim:
 
     def test_gauge_robustness(self):
         problem = models.build(ModelSpec(ModelKind.QUTRIT_2PARAM, alpha=1.0))
-        family = oracle.exact_eigenstate_family(problem)
+        family = partial(oracle.exact_eigenstate, problem)
 
         def gauged(lam):
             phase = np.exp(1j * (3.0 * lam[0] - 2.0 * lam[1] + 5.0 * lam[0] * lam[1]))
@@ -323,7 +324,7 @@ class TestFdQfim:
     def test_noisy_family_trips_consistency_check(self):
         # quantizing the amplitudes injects noise that central differences
         # amplify; the eps vs eps/2 cross-check must catch it
-        family = oracle.exact_eigenstate_family(QUBIT1)
+        family = partial(oracle.exact_eigenstate, QUBIT1)
 
         def noisy(lam):
             amplitudes = np.round(family(lam).amplitudes * 1e6) / 1e6
@@ -337,7 +338,7 @@ class TestFdQfim:
         # spec property: oracle vs leading-order engine within max(1%, 50 |lambda|)
         name, problem = name_problem
         lam = np.full(problem.num_parameters, 1e-3)
-        family = oracle.exact_eigenstate_family(problem)
+        family = partial(oracle.exact_eigenstate, problem)
         q_fd, d_fd = oracle.fd_qfim(family, lam)
         cs = [first_order_correction(problem, mu) for mu in range(problem.num_parameters)]
         q_engine = qfim_static(cs).entries
@@ -374,13 +375,13 @@ class TestFdQfim:
 class TestBadStep:
     @pytest.mark.parametrize("eps", [0.0, -1e-4, math.nan, math.inf])
     def test_fd_qfim_rejects(self, eps):
-        family = oracle.exact_eigenstate_family(QUBIT1)
+        family = partial(oracle.exact_eigenstate, QUBIT1)
         with pytest.raises(ValueError, match="finite-difference step"):
             oracle.fd_qfim(family, np.array([1e-3]), eps=eps)
 
     @pytest.mark.parametrize("eps", [0.0, -1e-4, math.nan, math.inf])
     def test_fidelity_qfi_rejects(self, eps):
-        family = oracle.exact_eigenstate_family(QUBIT1)
+        family = partial(oracle.exact_eigenstate, QUBIT1)
         with pytest.raises(ValueError, match="finite-difference step"):
             oracle.fidelity_qfi(lambda l: family(np.array([l])), 1e-3, eps)
 
@@ -414,7 +415,7 @@ class TestBadStep:
 
     @pytest.mark.parametrize("eps", [0.0, -1e-4, math.nan, math.inf])
     def test_step_error_is_typed(self, eps):
-        family = oracle.exact_eigenstate_family(QUBIT1)
+        family = partial(oracle.exact_eigenstate, QUBIT1)
         for call in (
             lambda: oracle.fd_qfim(family, np.array([1e-3]), eps=eps),
             lambda: oracle.fidelity_qfi(lambda l: family(np.array([l])), 1e-3, eps),

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from perturbsense import (
 )
 from perturbsense import models, oracle
 from perturbsense.models import ModelKind, ModelSpec
+from perturbsense.perturbation import _correction
 
 from helpers import phase_align, random_hermitian
 
@@ -35,6 +38,53 @@ def reconstruct(dec):
         1j * (dec.gamma + dec.varphi)
     ) * math.sin(dec.theta2 / 2.0) * k
     return phi1, phi2
+
+
+def _random_complex_model(seed: int) -> PerturbationProblem:
+    rng = np.random.default_rng(3100 + seed)
+    dim = int(rng.integers(4, 13))
+    return PerturbationProblem(
+        h0=HermitianOperator(random_hermitian(rng, dim)),
+        perturbations=tuple(HermitianOperator(random_hermitian(rng, dim)) for _ in range(2)),
+        level=0,
+    )
+
+
+class TestCorrectionAtAnyLevel:
+    """The static correction of level k read from ``p`` itself, whatever ``p.level`` is."""
+
+    PROBLEMS = {
+        "qubit": lambda: models.build(ModelSpec(ModelKind.QUBIT_1PARAM)),
+        "qubit2": lambda: models.build(ModelSpec(ModelKind.QUBIT_2PARAM, alpha=0.7)),
+        "qutrit": lambda: models.build(ModelSpec(ModelKind.QUTRIT_2PARAM, alpha=1.2)),
+        "anharmonic": lambda: models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16)),
+        "random-complex-0": lambda: _random_complex_model(0),
+        "random-complex-1": lambda: _random_complex_model(1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_bit_equal_to_the_problem_at_that_level(self, name):
+        p = self.PROBLEMS[name]()
+        compared = 0
+        for k in range(p.dim):
+            at_k = replace(p, level=k)
+            for mu in range(p.num_parameters):
+                try:
+                    expected = first_order_correction(at_k, mu)
+                except DegeneracyError as error:
+                    with pytest.raises(DegeneracyError, match=re.escape(str(error))):
+                        _correction(p, k, mu)
+                    continue
+                got = _correction(p, k, mu)
+                assert np.array_equal(got.raw.amplitudes, expected.raw.amplitudes)
+                assert got.squared_norm == expected.squared_norm
+                if expected.direction is None:
+                    assert got.direction is None
+                else:
+                    assert np.array_equal(got.direction.amplitudes, expected.direction.amplitudes)
+                assert np.array_equal(got.reference.amplitudes, expected.reference.amplitudes)
+                compared += 1
+        assert compared > 0
 
 
 class TestHamiltonian:
