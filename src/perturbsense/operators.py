@@ -301,11 +301,48 @@ class SpectralDecomposition:
         return (self.eigenvectors * phases[None, :]) @ self.eigenvectors.conj().T
 
 
+def _diagonal_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ``np.linalg.eigh`` pair of a diagonal float64 ``m``, or None.
+
+    The eigenvalues are the diagonal in stable ascending order and the
+    eigenvectors the matching columns of the float64 identity, which is
+    what LAPACK returns for such a matrix, bit for bit, whenever its sort
+    agrees with a stable one: the entries are pairwise distinct or already
+    non-decreasing.  Ties out of order (LAPACK's selection sort moves them
+    its own way), any nonzero off-diagonal entry and complex storage give
+    None.  The off-diagonal entries are read in blocks of about
+    ``_TILE``**2 and the scan stops at the first block with a nonzero
+    entry, so a dense matrix costs one block.
+    """
+    if m.dtype != np.float64:
+        return None
+    d = m.shape[0]
+    # past the first entry, each run of d + 1 entries is d off-diagonal ones and a diagonal one
+    off = m.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :d]
+    rows = max(1, _TILE * _TILE // d)
+    for i in range(0, d - 1, rows):
+        if np.count_nonzero(off[i : i + rows]):
+            return None
+    diag = m.diagonal()
+    order = np.argsort(diag, kind="stable")
+    vals = diag[order]
+    if np.count_nonzero(vals[1:] == vals[:-1]) and np.count_nonzero(diag[1:] < diag[:-1]):
+        return None
+    vecs = np.zeros((d, d))
+    vecs[order, np.arange(d)] = 1.0
+    return vals, vecs
+
+
 def hermitian_eig(a: HermitianOperator) -> SpectralDecomposition:
     """Spectral decomposition with ascending eigenvalues and fixed phases.
 
     ``np.linalg.eigh`` solves ``a.matrix`` in its own dtype, so a real
-    operator takes LAPACK's real solver and gets float64 eigenvectors.
+    operator takes LAPACK's real solver and gets float64 eigenvectors.  A
+    diagonal float64 operator whose entries are pairwise distinct or
+    already non-decreasing (every preset's H0) skips LAPACK: its pair is
+    read off the diagonal in O(d log d) by ``_diagonal_eigh``, bit for bit
+    the pair ``eigh`` returns, except that at scales near 1e+-200, where
+    LAPACK rescales the matrix, the diagonal is returned exactly.
     Each eigenvector's phase is chosen so that its largest-magnitude
     component is real and positive (a sign, for real columns), which
     makes the output deterministic and keeps finite differences on
@@ -319,10 +356,12 @@ def hermitian_eig(a: HermitianOperator) -> SpectralDecomposition:
     e max_i |v_ik|^2.  Non-finite eigenvalues give a non-finite residual
     and fail too, as does the orthonormality check of
     :class:`SpectralDecomposition`; both raise :class:`EigensolverError`,
-    as does a spread E_max - E_min that overflows.
+    as does a spread E_max - E_min that overflows.  The phase fix and
+    every check run on both paths.
     """
+    pair = _diagonal_eigh(a.matrix)
     try:
-        vals, vecs = np.linalg.eigh(a.matrix)
+        vals, vecs = np.linalg.eigh(a.matrix) if pair is None else pair
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(
             f"eigensolver failed to converge (dim={a.dim}, max|A|={a._scale():.3e})"

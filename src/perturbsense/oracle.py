@@ -42,7 +42,13 @@ FD_ABS_FLOOR = 1e-9
 
 
 def _solve(p: PerturbationProblem, lam) -> tuple[np.ndarray, np.ndarray]:
-    """The ``np.linalg.eigh`` pair of ``p.hamiltonian(lam)``: every oracle eigensolve of H(lambda)."""
+    """The ``np.linalg.eigh`` pair of ``p.hamiltonian(lam)``: every oracle eigensolve of H(lambda).
+
+    It calls LAPACK even where H(lambda) is diagonal, as the centre sample
+    H(0) = H0 of a preset is, rather than ``hermitian_eig``, whose diagonal
+    path decomposes the engine's H0: the samples share no solve path with
+    the engine, so they still check that path.
+    """
     return np.linalg.eigh(p.hamiltonian(lam).matrix)
 
 

@@ -37,6 +37,25 @@ def count_eigh(monkeypatch) -> list:
     return calls
 
 
+def count_hermitian_eig(monkeypatch) -> list:
+    """Record the operator of every H0 decomposition, ``PerturbationProblem.spectral``, from now on.
+
+    Unlike ``count_eigh``, this also sees a diagonal H0, which
+    ``hermitian_eig`` decomposes without calling ``np.linalg.eigh``.
+    """
+    from perturbsense import perturbation
+
+    calls = []
+    solve = perturbation.hermitian_eig
+
+    def counting_hermitian_eig(a):
+        calls.append(a)
+        return solve(a)
+
+    monkeypatch.setattr(perturbation, "hermitian_eig", counting_hermitian_eig)
+    return calls
+
+
 def force_complex(monkeypatch) -> None:
     """Make every ``HermitianOperator`` built from now on keep a complex matrix.
 

@@ -477,19 +477,29 @@ class TestOracleCheckCommand:
         assert lines[0] == "check,engine,oracle,rel_error"
         assert any(line.startswith("static_Q11,") for line in lines)
 
-    @pytest.mark.parametrize("extra, expected", [([], 10), (["--time", "1.3"], 10)])
-    def test_eigensolve_count(self, capsys, monkeypatch, extra, expected):
-        # one H0 solve for the engine and the oracle together; each of the 9
-        # eigenstate samples is one direct solve at its lambda (the path walk
-        # is not needed at these weak couplings), and with --time the evolved
-        # family takes its 9 samples from those same solves, so it adds none
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["1e-3", "-1e-3"],
+            ["1e-3", "-1e-3", "--time", "1.3"],
+            ["0", "0"],
+            ["0", "0", "--time", "1.3"],
+        ],
+    )
+    def test_eigensolve_count(self, capsys, monkeypatch, extra):
+        # the engine's diagonal H0 is decomposed without LAPACK, so every eigh
+        # call is the oracle's: each of the 9 eigenstate samples is one direct
+        # solve at its lambda (the path walk is not needed at these weak
+        # couplings), and with --time the evolved family takes its 9 samples
+        # from those same solves, so it adds none.  At lambda = 0 the centre
+        # sample H(0) = H0 is diagonal too and still reaches eigh: the oracle
+        # never shares the engine's solve path
         calls = count_eigh(monkeypatch)
         code, _, err = run_cli(
-            capsys,
-            "oracle-check", "--model", "anharmonic", "--lambda", "1e-3", "-1e-3", *extra,
+            capsys, "oracle-check", "--model", "anharmonic", "--lambda", *extra
         )
         assert code == 0, err
-        assert len(calls) == expected
+        assert len(calls) == 9
         # the anharmonic H0 and every H(lambda) are real, so none takes the complex path
         assert {dtype for _, dtype in calls} == {np.dtype(np.float64)}
 
@@ -623,7 +633,7 @@ class TestRealArithmetic:
         real, real_dtypes = outputs()
         force_complex(monkeypatch)
         forced, forced_dtypes = outputs()
-        assert real_dtypes == {np.dtype(np.float64)}
+        assert real_dtypes == set()  # every preset H0 is diagonal: no LAPACK call
         assert forced_dtypes == {np.dtype(np.complex128)}
         for argv, a, b in zip(runs, real, forced):
             assert a == b, argv

@@ -31,6 +31,7 @@ from perturbsense.models import ModelKind, ModelSpec
 from helpers import (
     count_eigh,
     count_eigvalsh,
+    count_hermitian_eig,
     random_hermitian,
     random_state,
     record_gathers,
@@ -308,11 +309,17 @@ class TestScanTime:
             scan_time(ANHARMONIC, models.qubit_probe(0, 0), [0.1, 0.2])
 
     def test_one_eigensolve_per_scan(self, monkeypatch):
+        solves = count_hermitian_eig(monkeypatch)
         calls = count_eigh(monkeypatch)
         fresh = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
         scan = scan_time(fresh, VACUUM, np.linspace(0.1, 3.0, 8))
         assert scan.static_reference is not None
-        assert len(calls) == 1
+        assert solves == [fresh.h0]
+        assert calls == []  # the diagonal H0 is decomposed without LAPACK
+        dense, probe = _random_real_model(0)
+        scan_time(dense, probe, np.linspace(0.1, 3.0, 8))
+        assert solves == [fresh.h0, dense.h0]
+        assert calls == [(dense.h0.matrix.shape, np.float64)]
 
     def test_one_qfim_spectrum_per_scan(self, monkeypatch):
         # one batched eigvalsh for the grid, one for the static reference
@@ -577,11 +584,11 @@ class TestProbeSpaceEngine:
     @pytest.mark.parametrize("level", [2, 5])
     def test_static_reference_at_another_level(self, level, monkeypatch):
         """A probe on eigenstate k != p.level gets level k's static bound, from one eigensolve."""
-        solves = count_eigh(monkeypatch)
+        solves = count_hermitian_eig(monkeypatch)
         p = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
         assert p.level != level
         scan = scan_time(p, p.spectral.eigenstate(level), [0.5, 1.0])
-        assert len(solves) == 1
+        assert solves == [p.h0]
         at_level = replace(p, level=level)
         expected = static_report([first_order_correction(at_level, mu) for mu in range(2)])
         assert scan.static_reference == expected.bound_b

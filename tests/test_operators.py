@@ -141,6 +141,10 @@ class TestHermitianEig:
         assert np.max(np.abs(gram - np.eye(dim))) <= 1e-10
 
 
+def is_diagonal(a: np.ndarray) -> bool:
+    return not np.any(a - np.diag(np.diagonal(a)))
+
+
 def random_real_symmetric(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = rng.normal(size=(dim, dim))
     return (0.5 * (m + m.T)).astype(complex)
@@ -175,11 +179,13 @@ class TestRealPath:
 
     @pytest.mark.parametrize("a", _real_solve_cases())
     def test_real_matrix_reaches_eigh_as_float64(self, monkeypatch, a):
+        """A dense real matrix reaches eigh as float64; a diagonal one (each
+        preset's H0) is decomposed from its diagonal with no eigh call."""
         op = HermitianOperator(a)
         calls = count_eigh(monkeypatch)
         dec = hermitian_eig(op)
         assert op.matrix.dtype == np.float64
-        assert calls == [(a.shape, np.float64)]
+        assert calls == ([] if is_diagonal(a) else [(a.shape, np.float64)])
         assert dec.eigenvectors.dtype == np.float64
 
     @pytest.mark.parametrize("dim, i, j", [(4, 0, 2), (300, 299, 150)])
@@ -231,11 +237,15 @@ class TestRealPath:
     @pytest.mark.parametrize("a", _real_solve_cases())
     def test_agrees_with_the_complex_solve(self, monkeypatch, a):
         """Same eigenvalues to 1e-13 of max(max|A|, 1), same columns to 1e-12
-        once both carry the fixed phase convention."""
+        once both carry the fixed phase convention.  A diagonal matrix takes
+        no eigh call on the real path and is compared with LAPACK's complex solve."""
+        calls = count_eigh(monkeypatch)
         real = hermitian_eig(HermitianOperator(a))
+        assert real.eigenvectors.dtype == np.float64
+        assert calls == ([] if is_diagonal(a) else [(a.shape, np.float64)])
+        calls.clear()
         force_complex(monkeypatch)
         op = HermitianOperator(a)
-        calls = count_eigh(monkeypatch)
         ref = hermitian_eig(op)
         assert op.matrix.dtype == np.complex128
         assert calls == [(a.shape, np.complex128)]
@@ -245,7 +255,9 @@ class TestRealPath:
 
     def test_linalg_error_on_the_real_path_is_typed(self, monkeypatch):
         """A failed real solve raises EigensolverError with max|A|, both for a
-        checked operator and for a sum H(lambda), whose max|A| is computed then."""
+        checked operator and for a sum H(lambda), whose max|A| is computed then.
+        The checked operator is the quartic coupling, since the diagonal H0
+        never reaches eigh."""
         eigh = np.linalg.eigh
 
         def failing_real_eigh(m):
@@ -255,12 +267,107 @@ class TestRealPath:
 
         monkeypatch.setattr(np.linalg, "eigh", failing_real_eigh)
         p = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16))
-        for op in (p.h0, p.hamiltonian([0.25, 0.0])):
+        for op in (p.perturbations[1], p.hamiltonian([0.25, 0.0])):
             scale = np.max(np.abs(op.matrix))
             with pytest.raises(EigensolverError, match=re.escape(f"max|A|={scale:.3e})")):
                 hermitian_eig(op)
         qubit2 = models.build(ModelSpec(ModelKind.QUBIT_2PARAM, alpha=0.7))
         hermitian_eig(qubit2.hamiltonian([0.0, 0.1]))  # complex: not refused
+
+
+def _pivot_fixed(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The phase convention of ``hermitian_eig`` applied to an eigh pair."""
+    pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    return vals, vecs * np.conj(pivots / np.abs(pivots))[None, :]
+
+
+def _diagonal_cases():
+    """Every preset's H0 (descending for the qubit and qutrit, ascending for
+    the oscillator), and seeded random diagonals that skip LAPACK."""
+    cases = [
+        pytest.param(np.diagonal(models.build(spec).h0.matrix), id=f"{spec.kind.value}-h0")
+        for spec in (
+            ModelSpec(ModelKind.QUBIT_1PARAM),
+            ModelSpec(ModelKind.QUTRIT_2PARAM, alpha=0.7),
+            ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=16),
+        )
+    ]
+    for dim in (1, 2, 25, 26, 64, 129):
+        rng = np.random.default_rng(700 + dim)
+        cases.append(pytest.param(rng.normal(size=dim), id=f"distinct-{dim}"))
+        ties = np.sort(rng.integers(0, max(1, dim // 3), size=dim).astype(float))
+        cases.append(pytest.param(ties, id=f"sorted-ties-{dim}"))
+    return cases
+
+
+class TestDiagonalSolve:
+    """A diagonal float64 operator is decomposed from its diagonal, as LAPACK would."""
+
+    @pytest.mark.parametrize("diagonal", _diagonal_cases())
+    def test_equals_eigh_with_the_phase_fix(self, monkeypatch, diagonal):
+        a = np.diag(diagonal)
+        expected_vals, expected_vecs = _pivot_fixed(*np.linalg.eigh(a))
+        calls = count_eigh(monkeypatch)
+        dec = hermitian_eig(HermitianOperator(a))
+        assert calls == []
+        assert dec.eigenvalues.dtype == dec.eigenvectors.dtype == np.float64
+        assert np.array_equal(dec.eigenvalues, expected_vals)
+        assert np.array_equal(dec.eigenvectors, expected_vecs)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            pytest.param(np.diag([1.0, 1.0, 0.0]), id="ties-out-of-order"),
+            pytest.param(np.diag([3.0, 1.0, 2.0, 1.0]), id="ties-unsorted"),
+            pytest.param((4, 0, 1), id="first-row-denormal"),
+            pytest.param((130, 129, 128), id="last-row-denormal"),
+            pytest.param((130, 70, 3), id="inner-denormal"),
+        ],
+    )
+    def test_other_real_matrices_reach_eigh(self, monkeypatch, a):
+        if isinstance(a, tuple):  # one symmetric off-diagonal pair of 5e-324
+            dim, i, j = a
+            a = np.diag(np.arange(dim, 0, -1.0))
+            a[i, j] = a[j, i] = 5e-324
+        assert operators._diagonal_eigh(a) is None
+        expected_vals, expected_vecs = _pivot_fixed(*np.linalg.eigh(a))
+        calls = count_eigh(monkeypatch)
+        dec = hermitian_eig(HermitianOperator(a))
+        assert calls == [(a.shape, np.float64)]
+        assert np.array_equal(dec.eigenvalues, expected_vals)
+        assert np.array_equal(dec.eigenvectors, expected_vecs)
+
+    def test_complex_storage_reaches_eigh(self, monkeypatch):
+        force_complex(monkeypatch)
+        op = HermitianOperator(np.diag([2.0, 0.5, 1.0]))
+        assert op.matrix.dtype == np.complex128
+        calls = count_eigh(monkeypatch)
+        dec = hermitian_eig(op)
+        assert calls == [((3, 3), np.complex128)]
+        assert np.array_equal(dec.eigenvalues, [0.5, 1.0, 2.0])
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("dim", [3, 26, 64])
+    def test_extreme_scales_return_the_diagonal_exactly(self, scale, dim):
+        """LAPACK rescales such a matrix and rounds the eigenvalues by up to
+        2 ulp; the diagonal path returns the sorted diagonal exactly."""
+        diagonal = scale * np.random.default_rng(dim).normal(size=dim)
+        dec = hermitian_eig(HermitianOperator(np.diag(diagonal)))
+        ordered = np.sort(diagonal)
+        assert np.array_equal(dec.eigenvalues, ordered)
+        assert np.array_equal(dec.eigenvectors, np.eye(dim)[:, np.argsort(diagonal)])
+        lapack = np.linalg.eigh(np.diag(diagonal))[0]
+        assert np.all(np.abs(lapack - ordered) <= 2 * np.spacing(np.abs(ordered)))
+
+    def test_fock_1024_spectrum_without_lapack(self, monkeypatch):
+        p = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=1024))
+        calls = count_eigh(monkeypatch)
+        dec = p.spectral
+        assert calls == []
+        # the stored entries sqrt(j)^2 + 1/2, within 1.2e-13 of j + 1/2
+        assert np.array_equal(dec.eigenvalues, np.diagonal(p.h0.matrix))
+        assert np.max(np.abs(dec.eigenvalues - (np.arange(1024) + 0.5))) <= 2e-13
+        assert np.array_equal(dec.eigenvectors, np.eye(1024))
 
 
 def _postcondition_cases():
@@ -348,14 +455,21 @@ MUTATIONS = [
 
 
 def _patch_eigh(monkeypatch, mutate):
-    """Make ``np.linalg.eigh`` return a mutated copy of its true result."""
+    """Make both solve paths, ``np.linalg.eigh`` and the diagonal one, return
+    a mutated copy of their true result."""
     eigh = np.linalg.eigh
+    diagonal_eigh = operators._diagonal_eigh
 
     def mutated_eigh(a):
         vals, vecs = eigh(a)
         return mutate(vals.copy(), vecs.copy())
 
+    def mutated_diagonal_eigh(a):
+        pair = diagonal_eigh(a)
+        return None if pair is None else mutate(pair[0].copy(), pair[1].copy())
+
     monkeypatch.setattr(np.linalg, "eigh", mutated_eigh)
+    monkeypatch.setattr(operators, "_diagonal_eigh", mutated_diagonal_eigh)
 
 
 class TestSpectralPostconditions:
@@ -407,10 +521,13 @@ class TestSpectralPostconditions:
             SpectralDecomposition(dec.eigenvalues, vecs)
 
     def test_degenerate_mixing_refused_through_orthonormality(self, monkeypatch):
-        """A skewed pair inside an eigenspace has zero residual; the Gram probe catches it."""
+        """A skewed pair inside an eigenspace has zero residual; the Gram probe
+        catches it, on the diagonal path (ties in order) and through eigh (ties
+        out of order)."""
         _patch_eigh(monkeypatch, _skew_pair)
-        with pytest.raises(EigensolverError, match="not orthonormal"):
-            hermitian_eig(HermitianOperator(np.diag([1.0, 1.0, 2.0]).astype(complex)))
+        for diagonal in ([1.0, 1.0, 2.0], [2.0, 1.0, 1.0]):
+            with pytest.raises(EigensolverError, match="not orthonormal"):
+                hermitian_eig(HermitianOperator(np.diag(diagonal).astype(complex)))
 
     def test_rotation_invisible_to_a_constant_probe_refused(self, monkeypatch):
         """V -> V exp(i eps K) keeps V orthonormal and, for this K and the
