@@ -53,13 +53,23 @@ def commands(lambdas: list[str]) -> list[list[str]]:
     ]
 
 
+# The north-star size, pinned on the dynamical path only: CSV, and no
+# oracle-check, whose dense d = 1024 solves would cost seconds per case.
+LARGE = ["--model", "anharmonic", "--fock-dim", "1024", "--output-format", "csv"]
+LARGE_COMMANDS = (
+    ["dynamic", "--time", "1.3"],
+    ["scan", "--t-min", "0.05", "--t-max", "10", "--t-steps", "9"],
+    ["scan", "--t-min", "0", "--t-max", "6.3", "--t-steps", "7"],
+)
+
+
 def cases() -> list[list[str]]:
     return [
         command + model + ["--output-format", fmt]
         for model, lambdas in MODELS
         for command in commands(lambdas)
         for fmt in ("csv", "json")
-    ]
+    ] + [command + LARGE for command in LARGE_COMMANDS]
 
 
 def run(argv: list[str]) -> tuple[int, str]:
