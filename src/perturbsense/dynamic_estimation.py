@@ -13,19 +13,24 @@ c = V^dag psi0, H~_mu = V^dag H_mu V and gaps g_ij = E_i - E_j,
     M_mu = H~_mu / (i g),
 
 and only the columns of M_mu on the probe's support S = {j : c_j != 0}
-meet c.  So a whole time grid costs one O(d^3) eigensolve of H0, and per
-coupling the gather :meth:`PerturbationProblem.coupling_columns` of
-H~_mu[:, S] in O(d^2 |S|) and one (d x |S|) @ (|S| x T) product in
-O(d |S| T), plus O(d T) for the phases.  The static correction reads the
-same gather with S = {level}.  One coupling's (d, |S|) block is held at a
-time, so nothing of size (P, d, |S|) is; a probe with |S| < d never forms
-a d x d one.  Every preset probe sits on one eigenlevel of a diagonal H0,
-so |S| = 1; a dense probe, or an eigenstate of a dense H0 whose c carries
-rounding on every level, has |S| = d and the O(P d^2 T) cost.
+meet c.  Those columns reach only the rows R = S u {i : H~_mu[i, S] != 0
+for some mu}; every other row of a tangent is exactly zero, so the phases,
+the products and the geometric tensor run on R alone.  A whole time grid
+costs one O(d^3) eigensolve of H0, and per coupling the gather
+:meth:`PerturbationProblem.coupling_columns` of H~_mu[:, S] in
+O(d^2 |S|) and one (|R| x |S|) @ (|S| x T) product in O(|R| |S| T), plus
+O(|R| T) for the phases.  The static correction reads the same gather
+with S = {level}.  The P blocks, cut to R, are held at once; a probe with
+|S| < d never forms a d x d one.  Every preset probe sits on one
+eigenlevel of a diagonal H0, so |S| = 1, and the anharmonic vacuum
+reaches |R| = 5 levels at any fock dimension; a dense probe, or an
+eigenstate of a dense H0 whose c carries rounding on every level, has
+|S| = |R| = d and the O(P d^2 T) cost.
 M_mu = -i H~_mu / g, so the product runs on N_mu = H~_mu / g through
 :func:`~perturbsense.operators._times`: a real model's operators are
-stored as float64, so its N_mu is float64 and the product a real
-(d x |S|) @ (|S| x 2T) one, half the flops of the complex product.
+stored as float64, so its N_mu is float64, and from ``_TILE`` rows of R
+up the product is a real (|R| x |S|) @ (|S| x 2T) one, half the flops of
+the complex product.
 
 Pairs with g = 0 exactly (the diagonal and exactly degenerate levels)
 have K~_ij(t) = H~_ij t: they enter as one rank-1 term t (H~ o Z) c per
@@ -228,18 +233,22 @@ def qfim_dynamic(psi0: StateVector, ks) -> EstimationReport:
 
 
 def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray):
-    """K_mu(t)|psi0> for every grid time, in the H0 eigenbasis.
+    """K_mu(t)|psi0> at every time of an increasing grid, on the levels the probe reaches.
 
-    Returns the tangents, shape (T, P, d), and the probe c = V^dag psi0.
-    Only the columns of H~_mu on the probe's support S = {j : c_j != 0}
-    enter, so the pair work runs on one coupling's (d, |S|) block at a
-    time: O(d^2 |S|) to gather it, O(d |S| T) for its product, and O(d T)
-    for the phases.  S keeps every entry that is not exactly zero, however
-    small: an eigenstate probe of a dense H0 has rounding-level amplitudes
-    on every level, and with them full support and the full cost.  No
-    (P, d, |S|) array is formed, and no d x d x T or P x P x d x T array
-    at all.  A grid whose phases E t leave the float range raises
-    ValueError before any phase is formed.
+    Returns the tangents, shape (T, P, |R|), the probe c = V^dag psi0 on R
+    and the indices R of those rows of the H0 eigenbasis.  Only the columns
+    of H~_mu on the probe's support S = {j : c_j != 0} enter, so a row i
+    of a tangent can be nonzero only in R = S u {i : H~_mu[i, S] != 0 for
+    some mu}; the rows off R are exactly zero and are never formed.  The P
+    gathered (d, |S|) blocks, cut to R, are held at once: O(d^2 |S|) each
+    to gather, O(|R| |S| T) for each product and O(|R| T) for the phases.
+    The anharmonic vacuum has |R| = 5 at any fock dimension.  S keeps every
+    entry that is not exactly zero, however small: an eigenstate probe of
+    a dense H0 has rounding-level amplitudes on every level, and with them
+    R every level and the full cost, with no row copied.  No d x d x T or
+    P x P x d x T array is formed.  A grid with no positive time gathers
+    nothing and returns zero tangents on R = S.  A grid whose phases E t
+    leave the float range raises ValueError before any phase is formed.
     """
     if psi0.dim != p.dim:
         raise DimensionMismatchError(
@@ -247,30 +256,44 @@ def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray)
         )
     dec = p.spectral
     c = _times(dec.eigenvectors, psi0.amplitudes, adjoint=True)
+    support = c.nonzero()[0]
     positive = grid[grid > 0.0]
     if positive.size == 0:  # K(0) = 0 exactly
-        return np.zeros((grid.size, p.num_parameters, dec.dim), dtype=complex), c
-    support = np.flatnonzero(c)
-    c_s = c[support]
+        tangents = np.zeros((grid.size, p.num_parameters, support.size), dtype=complex)
+        return tangents, c[support], support
     # Centring the spectrum keeps the phases e^{iEt} as accurate as the gaps;
     # a common energy shift cancels in e^{iE_i t} M_ij e^{-iE_j t}.  Each end
     # is halved first, so the centre stays finite near the float range.
     energies = dec.eigenvalues - (0.5 * dec.eigenvalues[0] + 0.5 * dec.eigenvalues[-1])
-    with np.errstate(over="ignore"):
-        reach = positive * np.max(np.abs(energies))
-    if not np.isfinite(reach[-1]):
-        t = float(positive[np.argmin(np.isfinite(reach))])
+    # The spectrum ascends, so its largest |E| sits at one end; the product
+    # of Python floats overflows to inf without a warning.
+    top = float(max(-energies[0], energies[-1]))
+    if not math.isfinite(float(positive[-1]) * top):
+        with np.errstate(over="ignore"):
+            t = float(positive[np.argmin(np.isfinite(positive * top))])
         raise ValueError(
             f"interaction time {t} is too long: its phases E t overflow the float range"
         )
-    gaps = energies[:, None] - energies[support]
+    blocks = [p.coupling_columns(mu, support) for mu in range(p.num_parameters)]
+    reached = np.zeros(dec.dim, dtype=bool)
+    reached[support] = True
+    for h in blocks:
+        reached |= h.any(axis=1)
+    rows = reached.nonzero()[0]
+    at = support  # S as positions in R
+    if rows.size < dec.dim:
+        at = np.searchsorted(rows, support)
+        blocks = [h[rows] for h in blocks]
+        energies, c = energies[rows], c[rows]
+    c_s = c[at]
+    gaps = energies[:, None] - energies[at]
     with np.errstate(over="ignore"):  # an infinite phase is not small either
         small = np.abs(gaps) * positive[0] < SMALL_PHASE
     inverse_gap = np.zeros(gaps.shape)
     inverse_gap[~small] = 1.0 / gaps[~small]
     zero_rows, zero_cols = np.nonzero(gaps == 0.0)
-    rows, cols = np.nonzero(small & (gaps != 0.0))
-    sinc_gaps = gaps[rows, cols]
+    sinc_rows, sinc_cols = np.nonzero(small & (gaps != 0.0))
+    sinc_gaps = gaps[sinc_rows, sinc_cols]
     del gaps, small
 
     angles = np.multiply.outer(grid, energies)
@@ -278,46 +301,46 @@ def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray)
     np.cos(angles, out=phases.real)
     np.sin(angles, out=phases.imag)
     del angles
-    tangents = np.empty((p.num_parameters, grid.size, dec.dim), dtype=complex)
-    # M = -i N with N = H~/g (zero on the small-phase pairs), so R M^T =
-    # (N (-i R)^T)^T and M c = N (-i c), where R = e^{-iEt} o c.  Both come
-    # from one product per coupling, of N with (-i R)^T and -i c appended as
+    tangents = np.empty((p.num_parameters, grid.size, rows.size), dtype=complex)
+    # M = -i N with N = H~/g (zero on the small-phase pairs), so Y M^T =
+    # (N (-i Y)^T)^T and M c = N (-i c), where Y = e^{-iEt} o c.  Both come
+    # from one product per coupling, of N with (-i Y)^T and -i c appended as
     # its last column.
     minus_i_c = np.empty_like(c_s)
     minus_i_c.real, minus_i_c.imag = c_s.imag, -c_s.real  # exact
     rotated = np.empty((support.size, grid.size + 1), dtype=complex)
-    np.conjugate(phases[:, support].T, out=rotated[:, :-1])
+    np.conjugate(phases[:, at].T, out=rotated[:, :-1])
     rotated[:, :-1] *= minus_i_c[:, None]
     rotated[:, -1] = minus_i_c
-    products = np.empty((dec.dim, grid.size + 1), dtype=complex)
+    products = np.empty((rows.size, grid.size + 1), dtype=complex)
     # H~_ij c_j on the zero-gap and small-phase pairs, read from the same
     # block as the product
     zero_terms = np.empty((p.num_parameters, zero_rows.size), dtype=complex)
-    sinc_terms = np.empty((p.num_parameters, rows.size), dtype=complex)
-    for mu, y in enumerate(tangents):
-        h = p.coupling_columns(mu, support)
+    sinc_terms = np.empty((p.num_parameters, sinc_rows.size), dtype=complex)
+    for mu, (y, h) in enumerate(zip(tangents, blocks)):
         _times(h * inverse_gap, rotated, out=products)
         np.multiply(products[:, :-1].T, phases, out=y)
         y -= products[:, -1]
         zero_terms[mu] = h[zero_rows, zero_cols] * c_s[zero_cols]
-        sinc_terms[mu] = h[rows, cols] * c_s[cols]
-    del products, phases, rotated
-    tangents[:, grid == 0.0] = 0.0  # exact there; the difference leaves rounding
+        sinc_terms[mu] = h[sinc_rows, sinc_cols] * c_s[sinc_cols]
+    del blocks, products, phases, rotated
+    if grid[0] == 0.0:  # K(0) = 0 exactly; the difference leaves rounding
+        tangents[:, 0] = 0.0
 
     # g = 0 (the diagonal and exactly degenerate levels): K~_ij(t) = H~_ij t,
     # so each coupling adds one rank-1 term t (H~ o Z) c.  Its component
     # along c only adds a phase, which geometric_tensor projects out again;
     # kept, its square would grow as t^2 and cancel there, so it is dropped
-    zero_weights = np.zeros((p.num_parameters, dec.dim), dtype=complex)
+    zero_weights = np.zeros((p.num_parameters, rows.size), dtype=complex)
     np.add.at(zero_weights, (slice(None), zero_rows), zero_terms)
     zero_weights -= np.multiply.outer(zero_weights @ c.conj() / np.vdot(c, c), c)
     for y, w in zip(tangents, zero_weights):
         y += np.multiply.outer(grid, w)
 
-    # g != 0 but |g| t_min < SMALL_PHASE: the exact kernel, at most d pairs
+    # g != 0 but |g| t_min < SMALL_PHASE: the exact kernel, at most |R| pairs
     # at a time
-    for lo in range(0, rows.size, dec.dim):
-        chunk = slice(lo, lo + dec.dim)
+    for lo in range(0, sinc_rows.size, rows.size):
+        chunk = slice(lo, lo + rows.size)
         g = sinc_gaps[chunk]
         half_phase = np.multiply.outer(grid, 0.5 * g)
         kernel = np.empty(half_phase.shape, dtype=complex)
@@ -325,8 +348,8 @@ def _probe_tangents(p: PerturbationProblem, psi0: StateVector, grid: np.ndarray)
         np.sin(half_phase, out=kernel.imag)
         kernel *= kernel.imag * (2.0 / g)  # t sinc(gt/2) = sin(gt/2) (2/g)
         for y, w in zip(tangents, sinc_terms):
-            np.add.at(y, (slice(None), rows[chunk]), kernel * w[chunk])
-    return np.swapaxes(tangents, 0, 1), c
+            np.add.at(y, (slice(None), sinc_rows[chunk]), kernel * w[chunk])
+    return np.swapaxes(tangents, 0, 1), c, rows
 
 
 def dynamic_report(p: PerturbationProblem, psi0: StateVector, t: float) -> EstimationReport:
@@ -335,16 +358,21 @@ def dynamic_report(p: PerturbationProblem, psi0: StateVector, t: float) -> Estim
     Runs the probe-space path of :func:`scan_time` on a one-point grid.
     """
     _check_time(t)
-    tangents, c = _probe_tangents(p, psi0, np.array([float(t)]))
+    tangents, c, _ = _probe_tangents(p, psi0, np.array([float(t)]))
     return make_report(geometric_tensor(c, tangents)[0])
 
 
-def _static_reference(p: PerturbationProblem, c: np.ndarray) -> float | None:
-    """Static bound B for the eigenlevel matching the probe c = V^dag psi0, if one matches."""
+def _static_reference(p: PerturbationProblem, c: np.ndarray, rows: np.ndarray) -> float | None:
+    """Static bound B for the eigenlevel matching the probe, if one matches.
+
+    ``c`` is the probe V^dag psi0 on the eigenbasis rows ``rows``, which
+    hold all of its nonzero entries.
+    """
     projections = np.abs(c)
-    level = int(np.argmax(projections))
-    if projections[level] < 1.0 - 1e-10:
+    top = int(np.argmax(projections))
+    if projections[top] < 1.0 - 1e-10:
         return None
+    level = int(rows[top])
     try:
         corrections = [_correction(p, level, mu) for mu in range(p.num_parameters)]
     except DegeneracyError:
@@ -370,11 +398,11 @@ def scan_time(p: PerturbationProblem, psi0: StateVector, times) -> TimeScan:
         raise ValueError("times must be non-negative")
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("time grid must be strictly increasing")
-    tangents, c = _probe_tangents(p, psi0, grid)
+    tangents, c, rows = _probe_tangents(p, psi0, grid)
     qfim, uhlmann = split_tensor(geometric_tensor(c, tangents))
     return TimeScan(
         times=grid,
         qfim=qfim,
         uhlmann=uhlmann,
-        static_reference=_static_reference(p, c),
+        static_reference=_static_reference(p, c, rows),
     )

@@ -39,6 +39,9 @@ PATH_STEPS = 4
 DIRECT_OVERLAP_MIN = 0.9
 FD_DISAGREEMENT_RTOL = 0.1
 FD_ABS_FLOOR = 1e-9
+# Samples of a unit state that differ by less than this are equal up to
+# rounding, so a step that moves none further measures no derivative.
+ROUNDING_FLOOR = float(np.finfo(float).eps)
 
 
 def _solve(p: PerturbationProblem, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -144,16 +147,25 @@ def _aligned(v: np.ndarray, center: np.ndarray) -> np.ndarray:
     return v * np.conj(overlap / abs(overlap))
 
 
-def _derivative_moments(family, lam: np.ndarray, eps: float, centers: tuple) -> list[tuple]:
-    """Q and D at step eps of every member, from one pair of samples per coupling."""
+def _derivative_moments(
+    family, lam: np.ndarray, eps: float, centers: tuple
+) -> tuple[list[tuple], float]:
+    """Q and D at step eps of every member, from one pair of samples per coupling.
+
+    Also returns the largest distance |psi(lam + shift) - psi(lam - shift)|
+    between the phase-aligned samples of any member and coupling.
+    """
     p = lam.size
     derivatives: list[list[np.ndarray]] = [[] for _ in centers]
+    moved = 0.0
     for mu in range(p):
         shift = np.zeros(p)
         shift[mu] = eps / 2.0
         samples = zip(centers, _members(family(lam + shift)), _members(family(lam - shift)))
         for member, (center, hi, lo) in zip(derivatives, samples):
-            member.append((_aligned(hi, center) - _aligned(lo, center)) / eps)
+            difference = _aligned(hi, center) - _aligned(lo, center)
+            moved = max(moved, float(np.linalg.norm(difference)))
+            member.append(difference / eps)
 
     moments = []
     for member, center in zip(derivatives, centers):
@@ -165,7 +177,7 @@ def _derivative_moments(family, lam: np.ndarray, eps: float, centers: tuple) -> 
         q = 4.0 * geometric.real
         d = 4.0 * geometric.imag
         moments.append((0.5 * (q + q.T), 0.5 * (d - d.T)))
-    return moments
+    return moments, moved
 
 
 def fd_qfim(family, lam, eps: float = DEFAULT_FD_STEP):
@@ -176,7 +188,9 @@ def fd_qfim(family, lam, eps: float = DEFAULT_FD_STEP):
     robust to smooth lambda-dependent phases on the family.  The eps and
     eps/2 estimates must agree within 10%, which catches cancellation; the
     finer is returned.  A step too small to move some coupling is refused,
-    but one that moves lambda and not the sampled state passes vacuously.
+    and so is one that moves lambda but no sampled state: when at both
+    steps every member's samples differ by less than the float epsilon,
+    every derivative lies below the rounding floor eps_mach / step.
 
     A family that returns a ``StateVector`` gives one ``(Q, D)`` pair.  A
     family that returns a tuple of states gives a tuple of pairs in the
@@ -188,8 +202,13 @@ def fd_qfim(family, lam, eps: float = DEFAULT_FD_STEP):
     _check_step(eps, lam, eps / 4.0)  # the finest samples sit at lam_mu -/+ eps/4
     sample = family(lam)
     centers = _members(sample)
-    coarse = _derivative_moments(family, lam, eps, centers)
-    fine = _derivative_moments(family, lam, eps / 2.0, centers)
+    coarse, coarse_moved = _derivative_moments(family, lam, eps, centers)
+    fine, fine_moved = _derivative_moments(family, lam, eps / 2.0, centers)
+    if max(coarse_moved, fine_moved) < ROUNDING_FLOOR:
+        raise FiniteDifferenceStepError(
+            f"finite-difference step {eps} is too small to move the sampled states "
+            f"above rounding at the couplings {lam.tolist()}"
+        )
     pairs = []
     for (q_coarse, d_coarse), (q_fine, d_fine) in zip(coarse, fine):
         scale = max(float(np.max(np.abs(q_fine))), float(np.max(np.abs(d_fine))), FD_ABS_FLOOR)

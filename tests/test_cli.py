@@ -394,12 +394,17 @@ class TestHamiltonianFile:
             assert err.startswith(f"error: cannot write {out_path}: ")
 
     @pytest.mark.parametrize(
-        "diagonal, expected",
-        [((1.7e308, -1.7e308), 3), ((1e308, 0.9e308), 0)],
+        "diagonal, expected, oracle_expected",
+        [((1.7e308, -1.7e308), 3, 3), ((1e308, 0.9e308), 0, 2)],
         ids=["spread-overflows", "centre-overflows"],
     )
-    def test_huge_finite_spectrum(self, capsys, tmp_path, diagonal, expected):
-        """Finite eigenvalues near the float range: a typed exit, no RuntimeWarning."""
+    def test_huge_finite_spectrum(self, capsys, tmp_path, diagonal, expected, oracle_expected):
+        """Finite eigenvalues near the float range: a typed exit, no RuntimeWarning.
+
+        With the centre overflowing, the levels sit 1e307 apart and a
+        coupling of 1e-3 mixes them by about 1e-310, so no step moves the
+        oracle's samples above rounding and oracle-check refuses its step.
+        """
         pairs = lambda m: [[[z.real, z.imag] for z in row] for row in np.asarray(m, complex)]
         payload = {"dim": 2, "h0": pairs(np.diag(diagonal)), "perturbations": [pairs([[0, 1], [1, 0]])]}
         huge = tmp_path / "huge.json"
@@ -412,9 +417,14 @@ class TestHamiltonianFile:
         )
         for command in commands:
             code, out, err = run_cli(capsys, *command, "--model", str(huge))
-            assert code == expected, (command, err)
-            if expected == 3:
+            want = oracle_expected if command[0] == "oracle-check" else expected
+            assert code == want, (command, err)
+            if want == 3:
                 assert err.startswith("numerical error: eigenvalue spread")
+            if want == 2:
+                assert err.startswith(
+                    "error: finite-difference step 0.0001 is too small to move the sampled states"
+                )
 
 
 class TestOracleCheckCommand:
@@ -512,6 +522,26 @@ class TestOracleCheckCommand:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: finite-difference step {float(eps)} is too small")
+        assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--model", "qubit", "--lambda", "0"],
+            ["--model", "anharmonic", "--lambda", "0", "0"],
+        ],
+        ids=["qubit", "anharmonic"],
+    )
+    def test_step_that_moves_no_sampled_state_refused(self, capsys, argv):
+        # 0 -/+ eps/4 are distinct couplings, but H(lambda) moves its
+        # eigenvectors by less than rounding, so every derivative would read 0
+        code, out, err = run_cli(capsys, "oracle-check", *argv, "--eps", "1e-16")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(
+            "error: finite-difference step 1e-16 is too small to move the sampled states "
+            "above rounding"
+        )
         assert "Traceback" not in err and "Warning" not in err
 
 

@@ -24,7 +24,7 @@ from perturbsense import (
     scan_time,
     static_report,
 )
-from perturbsense import cli, models, oracle
+from perturbsense import cli, models, operators, oracle
 from perturbsense.dynamic_estimation import _probe_tangents
 from perturbsense.models import ModelKind, ModelSpec
 
@@ -672,6 +672,13 @@ def _off_probe(x, c):
     return x - np.multiply.outer(x @ c.conj() / np.vdot(c, c), c)
 
 
+def _on_every_row(x, rows, dim):
+    """``x``, given on the eigenbasis rows ``rows`` along its last axis, zero-filled to ``dim``."""
+    full = np.zeros((*x.shape[:-1], dim), dtype=x.dtype)
+    full[..., rows] = x
+    return full
+
+
 class TestSupportGather:
     """coupling_columns and the tangents on the probe's support against a full V^dag H_mu V."""
 
@@ -686,9 +693,12 @@ class TestSupportGather:
 
     def assert_gather_matches(self, problem, probe, gathered, projection_rtol=0.0):
         """``projection_rtol`` bounds c = V^dag psi0 against numpy's product,
-        relative to its largest entry; bit-identical by default."""
-        tangents, c = _probe_tangents(problem, probe, self.GRID)
+        relative to its largest entry; bit-identical by default.  Returns
+        the gathered columns S and the reached rows R."""
+        tangents, c, rows = _probe_tangents(problem, probe, self.GRID)
         exact, full, c_ref = _exact_tangents(problem, probe, self.GRID)
+        tangents = _on_every_row(tangents, rows, problem.dim)
+        c = _on_every_row(c, rows, problem.dim)
         assert np.max(np.abs(c - c_ref)) <= projection_rtol * np.max(np.abs(c_ref))
         calls = list(gathered)
         assert [(q, mu) for q, mu, _ in calls] == [(problem, mu) for mu in range(len(full))]
@@ -699,9 +709,14 @@ class TestSupportGather:
             block = problem.coupling_columns(mu, columns)
             assert block.shape == (problem.dim, columns.size)
             assert np.max(np.abs(block - h[:, columns])) <= self.RTOL * np.max(np.abs(full))
+        # R is S and every row a coupling's columns on S reach; the exact
+        # tangents vanish off it
+        reached = np.union1d(columns, np.flatnonzero(full[:, :, columns].any(axis=(0, 2))))
+        assert np.array_equal(rows, reached)
+        assert not exact[..., np.setdiff1d(np.arange(problem.dim), rows)].any()
         scale = np.max(np.abs(_off_probe(exact, c)))
         assert np.max(np.abs(_off_probe(tangents - exact, c))) <= self.RTOL * scale
-        return columns
+        return columns, rows
 
     @pytest.mark.parametrize("support", ["one", "few", "dense"])
     @pytest.mark.parametrize("seed", range(4))
@@ -714,7 +729,8 @@ class TestSupportGather:
         if support != "dense":
             probe = self.support_probe(dim, levels, rng)
         gathered = record_gathers(monkeypatch)
-        assert self.assert_gather_matches(problem, probe, gathered).tolist() == levels
+        columns, _ = self.assert_gather_matches(problem, probe, gathered)
+        assert columns.tolist() == levels
 
     @pytest.mark.parametrize("seed", range(4))
     def test_eigenstate_of_a_dense_h0_keeps_full_support(self, seed, monkeypatch):
@@ -724,8 +740,8 @@ class TestSupportGather:
         c = problem.spectral.eigenvectors.conj().T @ probe.amplitudes
         assert 0.0 < np.min(np.abs(c)) < 1e-14
         gathered = record_gathers(monkeypatch)
-        columns = self.assert_gather_matches(problem, probe, gathered)
-        assert columns.size == problem.dim
+        columns, rows = self.assert_gather_matches(problem, probe, gathered)
+        assert columns.size == rows.size == problem.dim
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     @pytest.mark.parametrize("dim", [64, 80])
@@ -755,8 +771,8 @@ class TestSupportGather:
         assert problem.spectral.eigenvectors.dtype == dtype
         gathered = record_gathers(monkeypatch)
         probe = StateVector(random_state(rng, dim))
-        columns = self.assert_gather_matches(problem, probe, gathered, projection_rtol=1e-15)
-        assert columns.size == dim
+        columns, rows = self.assert_gather_matches(problem, probe, gathered, projection_rtol=1e-15)
+        assert columns.size == rows.size == dim
 
     def test_tiny_amplitude_stays_in_the_support(self, monkeypatch):
         problem, _ = _degenerate_model(1, tiny_gap=False)
@@ -765,7 +781,61 @@ class TestSupportGather:
         # level 4 is coupled to level 2
         assert all(problem.coupling_columns(mu, 2)[4] for mu in range(2))
         gathered = record_gathers(monkeypatch)
-        assert self.assert_gather_matches(problem, StateVector(amplitudes), gathered).tolist() == [2, 4]
+        columns, _ = self.assert_gather_matches(problem, StateVector(amplitudes), gathered)
+        assert columns.tolist() == [2, 4]
+
+    @pytest.mark.parametrize("support", ["one", "few"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_banded_couplings_reach_a_few_rows(self, seed, support, monkeypatch):
+        """The degenerate model with couplings cut to their tridiagonal band.
+
+        Each level on the support reaches itself and its two neighbours,
+        the exactly degenerate pair (0, 1) among them for "few".
+        """
+        problem, _ = _degenerate_model(seed, tiny_gap=False)
+        dim = problem.dim
+        band = np.abs(np.subtract.outer(np.arange(dim), np.arange(dim))) <= 1
+        problem = replace(
+            problem,
+            perturbations=tuple(HermitianOperator(h.matrix * band) for h in problem.perturbations),
+        )
+        levels = {"one": [3], "few": [0, 2, dim - 1]}[support]
+        probe = self.support_probe(dim, levels, np.random.default_rng(2900 + seed))
+        gathered = record_gathers(monkeypatch)
+        columns, rows = self.assert_gather_matches(problem, probe, gathered)
+        assert columns.tolist() == levels
+        expected = {"one": {2, 3, 4}, "few": {0, 1, 2, 3, dim - 2, dim - 1}}[support]
+        assert rows.tolist() == sorted(expected)
+
+    def test_few_rows_of_a_wide_model_take_numpy_products(self, monkeypatch):
+        """|R| < ``_TILE`` <= d: the rows cut to R leave the float-view product for numpy's."""
+        dim = 80
+        rng = np.random.default_rng(3000)
+        band = np.abs(np.subtract.outer(np.arange(dim), np.arange(dim))) <= 2
+        couplings = [rng.normal(size=(dim, dim)) * band for _ in range(2)]
+        problem = PerturbationProblem(
+            h0=HermitianOperator(np.diag(np.sort(rng.uniform(-3.0, 3.0, dim)))),
+            perturbations=tuple(HermitianOperator(0.5 * (m + m.T)) for m in couplings),
+            level=0,
+        )
+        assert problem.coupling_columns(0, [0]).dtype == np.float64
+        probe = self.support_probe(dim, [10, 40, 70], rng)
+        gathered = record_gathers(monkeypatch)
+        _, rows = self.assert_gather_matches(problem, probe, gathered)
+        assert rows.size == 15 < operators._TILE <= dim
+
+    @pytest.mark.parametrize("fock_dim", [16, 128, 1024])
+    def test_anharmonic_vacuum_reaches_five_rows(self, fock_dim):
+        problem = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=fock_dim))
+        tangents, c, rows = _probe_tangents(problem, models.vacuum_state(fock_dim), self.GRID)
+        assert rows.tolist() == [0, 1, 2, 3, 4]
+        assert tangents.shape == (self.GRID.size, 2, 5) and c.tolist() == [1, 0, 0, 0, 0]
+
+    def test_dense_probe_reaches_every_row(self):
+        probe = StateVector(random_state(np.random.default_rng(3100), 16))
+        tangents, c, rows = _probe_tangents(ANHARMONIC, probe, self.GRID)
+        assert np.array_equal(rows, np.arange(16))
+        assert tangents.shape == (self.GRID.size, 2, 16) and c.shape == (16,)
 
     def test_fock_1024_vacuum_gathers_one_column_per_coupling(self, monkeypatch):
         problem = models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=1024))
