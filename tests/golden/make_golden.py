@@ -62,6 +62,12 @@ LARGE_COMMANDS = (
     ["scan", "--t-min", "0", "--t-max", "6.3", "--t-steps", "7"],
 )
 
+# The shape of the benchmark's scan op: a 200-row CSV table.
+TABLE = [
+    "scan", "--model", "anharmonic", "--fock-dim", "128",
+    "--t-min", "0.05", "--t-max", "10", "--t-steps", "200", "--output-format", "csv",
+]
+
 
 def cases() -> list[list[str]]:
     return [
@@ -69,7 +75,7 @@ def cases() -> list[list[str]]:
         for model, lambdas in MODELS
         for command in commands(lambdas)
         for fmt in ("csv", "json")
-    ] + [command + LARGE for command in LARGE_COMMANDS]
+    ] + [command + LARGE for command in LARGE_COMMANDS] + [TABLE]
 
 
 def run(argv: list[str]) -> tuple[int, str]:
