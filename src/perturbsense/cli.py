@@ -48,8 +48,22 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
+# Every float prints with 17 significant digits; "%.17g" % x is f"{x:.17g}".
+_FLOAT = "%.17g"
+
+
 def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+    return _FLOAT % x
+
+
+def _csv(table) -> str:
+    """CSV lines of a (T, k) float table, formatted in one pass.
+
+    One ``%`` operation on a T-line template formats every entry, as
+    :func:`_fmt` would one at a time.
+    """
+    rows, k = np.shape(table)
+    return (",".join([_FLOAT] * k) + "\n") * rows % tuple(np.ravel(table).tolist())
 
 
 def _json(payload: dict) -> str:
@@ -162,20 +176,18 @@ def _flat_header(p: int) -> list[str]:
     return cols + ["B", "R"]
 
 
-def _flat_rows(q, d, b, r) -> list[str]:
-    """Q (upper triangle), D (strict upper triangle), B and R as CSV lines.
+def _flat_columns(q, d, b, r) -> np.ndarray:
+    """Q (upper triangle), D (strict upper triangle), B and R as one table row per point.
 
-    Takes one report's parts, or a scan's (T, P, P) and (T,) arrays for
-    one line per grid time.
+    Takes one report's parts for one row, or a scan's (T, P, P) and (T,)
+    arrays for one row per grid time; returns shape (T, k), in the column
+    order of :func:`_flat_header`.
     """
     p = np.shape(q)[-1]
     iq, jq = np.triu_indices(p)
     id_, jd = np.triu_indices(p, 1)
     q, d = np.reshape(q, (-1, p, p)), np.reshape(d, (-1, p, p))
-    columns = np.column_stack([q[:, iq, jq], d[:, id_, jd], np.ravel(b), np.ravel(r)])
-    # Python floats print as numpy's do; a column of them at a time costs
-    # less than a numpy scalar per entry, and less memory than nested rows
-    return [",".join(map(_fmt, row)) for row in zip(*columns.T.tolist())]
+    return np.column_stack([q[:, iq, jq], d[:, id_, jd], np.ravel(b), np.ravel(r)])
 
 
 def _run_static(args) -> str:
@@ -201,13 +213,12 @@ def _run_static(args) -> str:
         return _json(payload)
 
     header = _flat_header(problem.num_parameters)
-    row = _flat_rows(*_parts(report))
+    row = [*_flat_columns(*_parts(report))[0], *norms]
     header += [f"N{mu + 1}" for mu in range(problem.num_parameters)]
-    row += [_fmt(n) for n in norms]
     if omega is not None and problem.num_parameters == 2:
         header += ["omega_re", "omega_im"]
-        row += [_fmt(omega[0, 1].real), _fmt(omega[0, 1].imag)]
-    return "\n".join([",".join(header), ",".join(row)]) + "\n"
+        row += [omega[0, 1].real, omega[0, 1].imag]
+    return ",".join(header) + "\n" + _csv([row])
 
 
 def _run_dynamic(args) -> str:
@@ -227,8 +238,7 @@ def _run_dynamic(args) -> str:
         }
         return _json(payload)
     header = ["t"] + _flat_header(problem.num_parameters)
-    row = [_fmt(args.time)] + _flat_rows(*_parts(report))
-    return "\n".join([",".join(header), ",".join(row)]) + "\n"
+    return ",".join(header) + "\n" + _csv([[args.time, *_flat_columns(*_parts(report))[0]]])
 
 
 def _run_scan(args) -> str:
@@ -247,10 +257,9 @@ def _run_scan(args) -> str:
     problem, name = _resolve_problem(args)
     psi0 = _resolve_probe(args, problem, name)
     scan = scan_time(problem, psi0, grid)
-    times = scan.times.tolist()
 
     if args.output_format == "json":
-        rows = zip(times, scan.qfim, scan.uhlmann,
+        rows = zip(scan.times.tolist(), scan.qfim, scan.uhlmann,
                    scan.bound_b.tolist(), scan.quantumness_r.tolist())
         payload = {
             "command": "scan",
@@ -265,9 +274,8 @@ def _run_scan(args) -> str:
     if scan.static_reference is not None:
         lines.append(f"# static_reference = {_fmt(scan.static_reference)}")
     lines.append(",".join(["t"] + _flat_header(problem.num_parameters)))
-    rows = _flat_rows(scan.qfim, scan.uhlmann, scan.bound_b, scan.quantumness_r)
-    lines += [f"{_fmt(t)},{row}" for t, row in zip(times, rows)]
-    return "\n".join(lines) + "\n"
+    columns = _flat_columns(scan.qfim, scan.uhlmann, scan.bound_b, scan.quantumness_r)
+    return "\n".join(lines) + "\n" + _csv(np.column_stack([scan.times, columns]))
 
 
 def _rel_error(engine: float, reference: float) -> float:

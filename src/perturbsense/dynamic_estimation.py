@@ -70,14 +70,13 @@ from .operators import (
     hermitian_eig,
     integrate_operator,
 )
-from .perturbation import PerturbationProblem, _correction
+from .perturbation import PerturbationProblem, _correction_vector
 from .static_estimation import (
     EstimationReport,
     _report_at,
     assemble,
     make_report,
     split_tensor,
-    static_report,
 )
 
 __all__ = [
@@ -366,7 +365,13 @@ def _static_reference(p: PerturbationProblem, c: np.ndarray, rows: np.ndarray) -
     """Static bound B for the eigenlevel matching the probe, if one matches.
 
     ``c`` is the probe V^dag psi0 on the eigenbasis rows ``rows``, which
-    hold all of its nonzero entries.
+    hold all of its nonzero entries.  B is what
+    ``static_report([first_order_correction(replace(p, level=k), mu) ...]).bound_b``
+    reads for that level k, bit for bit: the same geometric tensor of the
+    same raw corrections, taken through the same split and assembly, but
+    with no state vector, correction or report built to read one number.
+    None when the probe is not an eigenstate or a coupled level is
+    degenerate with it.
     """
     projections = np.abs(c)
     top = int(np.argmax(projections))
@@ -374,10 +379,12 @@ def _static_reference(p: PerturbationProblem, c: np.ndarray, rows: np.ndarray) -
         return None
     level = int(rows[top])
     try:
-        corrections = [_correction(p, level, mu) for mu in range(p.num_parameters)]
+        raws = np.stack([_correction_vector(p, level, mu) for mu in range(p.num_parameters)])
     except DegeneracyError:
         return None
-    return static_report(corrections).bound_b
+    # the reference state as static_report reads it, a complex copy of V[:, level]
+    reference = p.spectral.eigenvectors[:, level].astype(complex)
+    return float(assemble(*split_tensor(geometric_tensor(reference, raws)))[1])
 
 
 def scan_time(p: PerturbationProblem, psi0: StateVector, times) -> TimeScan:

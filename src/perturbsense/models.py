@@ -108,14 +108,18 @@ def _band_product(a: dict, b: dict) -> dict:
 
     Each r_k has the full length d and is zero where i + k falls outside
     the matrix, so C[i, i + p + q] = sum over p, q of a_p[i] b_q[i + p] is
-    the product of the truncated matrices, and C keeps that form: where
-    i + p falls outside, the rolled b_q is read at a zero of a_p.
+    the product of the truncated matrices, and C keeps that form: each
+    term is added into a zeroed row on the i with i + p inside, through
+    shifted slices, and the rest of the row stays zero.
     """
+    dim = next(iter(a.values())).size
     product = {}
     for p, row in a.items():
+        lo = max(0, -p)
+        hi = max(lo, min(dim, dim - p))
         for q, other in b.items():
-            term = row * np.roll(other, -p)
-            product[p + q] = product[p + q] + term if p + q in product else term
+            out = product.setdefault(p + q, np.zeros(dim))
+            out[lo:hi] += row[lo:hi] * other[lo + p : hi + p]
     return product
 
 

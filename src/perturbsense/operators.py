@@ -356,19 +356,24 @@ def hermitian_eig(a: HermitianOperator) -> SpectralDecomposition:
     e max_i |v_ik|^2.  Non-finite eigenvalues give a non-finite residual
     and fail too, as does the orthonormality check of
     :class:`SpectralDecomposition`; both raise :class:`EigensolverError`,
-    as does a spread E_max - E_min that overflows.  The phase fix and
-    every check run on both paths.
+    as does a spread E_max - E_min that overflows.  Every check runs on
+    both paths; the phase fix runs on LAPACK's alone, since the diagonal
+    path's columns are columns of the identity, whose pivots are +1.
     """
     pair = _diagonal_eigh(a.matrix)
-    try:
-        vals, vecs = np.linalg.eigh(a.matrix) if pair is None else pair
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(
-            f"eigensolver failed to converge (dim={a.dim}, max|A|={a._scale():.3e})"
-        ) from exc
-    pivot_rows = np.argmax(np.abs(vecs), axis=0)
-    pivots = vecs[pivot_rows, np.arange(vecs.shape[1])]
-    vecs = vecs * np.conj(pivots / np.abs(pivots))[None, :]
+    if pair is None:
+        try:
+            vals, vecs = np.linalg.eigh(a.matrix)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(
+                f"eigensolver failed to converge (dim={a.dim}, max|A|={a._scale():.3e})"
+            ) from exc
+        pivot_rows = np.argmax(np.abs(vecs), axis=0)
+        pivots = vecs[pivot_rows, np.arange(vecs.shape[1])]
+        vecs = vecs * np.conj(pivots / np.abs(pivots))[None, :]
+    else:
+        # identity columns: every pivot is already +1, so the phase fix is the identity
+        vals, vecs = pair
 
     scale = max(a._scale(), 1.0)
     y = _probe(a.dim)

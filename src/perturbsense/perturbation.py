@@ -208,6 +208,28 @@ def first_order_correction(p: PerturbationProblem, mu: int) -> FirstOrderCorrect
 
 def _correction(p: PerturbationProblem, n: int, mu: int) -> FirstOrderCorrection:
     """:func:`first_order_correction` of level ``n`` of ``p``, from column n of H~_mu."""
+    raw_ambient = _correction_vector(p, n, mu)
+    squared_norm = float(np.real(np.vdot(raw_ambient, raw_ambient)))
+    raw = StateVector(raw_ambient, normalized=False)
+    direction = None
+    if squared_norm > 0.0:
+        direction = StateVector(raw_ambient / math.sqrt(squared_norm))
+    return FirstOrderCorrection(
+        raw=raw,
+        squared_norm=squared_norm,
+        direction=direction,
+        reference=p.spectral.eigenstate(n),
+    )
+
+
+def _correction_vector(p: PerturbationProblem, n: int, mu: int) -> np.ndarray:
+    """The raw correction of level ``n`` for perturbation ``mu``, as a bare vector.
+
+    sum over m != n of H~_mu[m, n] / (E_n - E_m) |psi_m>, from column n of
+    H~_mu, with :func:`first_order_correction`'s :class:`DegeneracyError`;
+    no :class:`StateVector` is built, for a caller that reads only the
+    vector.
+    """
     amplitudes = p.coupling_columns(mu, n)
     dec = p.spectral
     energies = dec.eigenvalues
@@ -229,19 +251,7 @@ def _correction(p: PerturbationProblem, n: int, mu: int) -> FirstOrderCorrection
     coeffs = np.zeros(dec.dim, dtype=complex)
     usable = others & ~tiny_gap
     coeffs[usable] = amplitudes[usable] / gaps[usable]
-
-    raw_ambient = _times(dec.eigenvectors, coeffs)
-    squared_norm = float(np.real(np.vdot(raw_ambient, raw_ambient)))
-    raw = StateVector(raw_ambient, normalized=False)
-    direction = None
-    if squared_norm > 0.0:
-        direction = StateVector(raw_ambient / math.sqrt(squared_norm))
-    return FirstOrderCorrection(
-        raw=raw,
-        squared_norm=squared_norm,
-        direction=direction,
-        reference=dec.eigenstate(n),
-    )
+    return _times(dec.eigenvectors, coeffs)
 
 
 def _directions(corrections) -> list[np.ndarray]:

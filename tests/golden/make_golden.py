@@ -8,11 +8,16 @@ A change that moves digits on purpose regenerates the file and says why:
 
 It prints the argv of every case whose stdout differs from the file it
 replaces, with the largest relative move |b - a| / max(|a|, |b|) of any
-number in it, so the moved cases can be listed.
+number in it, so the moved cases can be listed.  With ``--check`` it
+prints the same lines but leaves the file as it is, and exits 1 if any
+case is new or moved:
+
+    PYTHONPATH=src python tests/golden/make_golden.py --check
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -20,7 +25,7 @@ import os
 import re
 from pathlib import Path
 
-from perturbsense.cli import main
+from perturbsense import cli
 
 GOLDEN = Path(__file__).with_name("cli_outputs.json")
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -82,7 +87,7 @@ def run(argv: list[str]) -> tuple[int, str]:
     """Exit status and stdout of ``perturbsense ARGV``, run in this process."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(argv)
+        code = cli.main(argv)
     return code, out.getvalue()
 
 
@@ -102,13 +107,18 @@ def largest_move(old: str, new: str) -> str:
     return f"largest relative move {move:.1e}"
 
 
-def write() -> int:
+def write(check: bool = False) -> tuple[int, int]:
+    """Run every case and write the file, unless ``check``.
+
+    Returns the number of cases and of those that are new or moved.
+    """
     os.chdir(GOLDEN.parent)  # where the model files are
     previous = {}
     if GOLDEN.exists():
         for record in json.loads(GOLDEN.read_text(encoding="utf-8")):
             previous[tuple(record["argv"])] = record["stdout"]
     records = []
+    differing = 0
     for argv in cases():
         code, stdout = run(argv)
         if code != 0:
@@ -118,10 +128,28 @@ def write() -> int:
             print(f"new: {' '.join(argv)}")
         elif old != stdout:
             print(f"changed: {' '.join(argv)}  ({largest_move(old, stdout)})")
+        differing += old != stdout
         records.append({"argv": argv, "stdout": stdout})
-    GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
-    return len(records)
+    if not check:
+        GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    return len(records), differing
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="report new and moved cases without writing; exit 1 if there are any",
+    )
+    args = parser.parse_args(argv)
+    total, differing = write(check=args.check)
+    if args.check:
+        print(f"{differing} of {total} cases new or moved in {GOLDEN}")
+        return 1 if differing else 0
+    print(f"wrote {total} cases to {GOLDEN}")
+    return 0
 
 
 if __name__ == "__main__":
-    print(f"wrote {write()} cases to {GOLDEN}")
+    raise SystemExit(main())

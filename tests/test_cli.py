@@ -247,7 +247,8 @@ class TestScanCommand:
             assert "too close" in err
 
     def test_reads_arrays_not_reports(self, capsys, monkeypatch):
-        # the one QfiMatrix is the static reference's; rows come from the arrays
+        # rows come from the arrays, and the static reference reads B off its
+        # tensor without building a QfiMatrix either
         from perturbsense import dynamic_estimation, static_estimation
 
         built = []
@@ -271,7 +272,37 @@ class TestScanCommand:
                 "--output-format", fmt,
             )
             assert code == 0
-            assert len(built) <= 1
+            assert built == []
+
+
+class TestTableFormat:
+    """The one-pass table formatter prints each float as f"{x:.17g}" does."""
+
+    SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+               1.7976931348623157e308, -1.7976931348623157e308, 2.2250738585072014e-308,
+               1e-308, 1e308, 0.1, 1.0 / 3.0]
+
+    @staticmethod
+    def joined(table) -> str:
+        return "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in table)
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    @pytest.mark.parametrize("rows", [1, 2, 200])
+    def test_equals_the_per_entry_join(self, rows, k):
+        rng = np.random.default_rng(1000 * rows + k)
+        bits = rng.integers(0, 2**64, size=rows * k, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64).copy()
+        values[: len(self.SPECIAL)] = self.SPECIAL[: values.size]
+        table = values.reshape(rows, k)
+        assert cli._csv(table) == self.joined(table.tolist())
+        # rows of Python and numpy floats mixed, as the static command holds them
+        mixed = [[np.float64(x) if j % 2 else x for j, x in enumerate(row)]
+                 for row in table.tolist()]
+        assert cli._csv(mixed) == self.joined(table.tolist())
+
+    def test_every_special_value_alone(self):
+        for x in self.SPECIAL:
+            assert cli._csv([[x]]) == f"{x:.17g}\n" == cli._fmt(x) + "\n"
 
 
 class TestHamiltonianFile:

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from perturbsense import (
+    DegeneracyError,
     DimensionMismatchError,
     HermitianOperator,
     PerturbationProblem,
@@ -870,3 +872,61 @@ class TestLongTimes:
         assert q[0, 0] == pytest.approx(q11, rel=1e-12)
         assert q[1, 1] == pytest.approx(q22, rel=1e-12)
         assert abs(q[0, 1] - q12) <= 1e-12 * q11
+
+
+def _golden_model(name):
+    return cli.load_hamiltonian_file(str(Path(__file__).parent / "golden" / name))
+
+
+STATIC_REFERENCE_MODELS = {
+    "qubit": (models.build(ModelSpec(ModelKind.QUBIT_1PARAM)), None),
+    "qubit2": (models.build(ModelSpec(ModelKind.QUBIT_2PARAM, alpha=0.7)), None),
+    "qutrit": (models.build(ModelSpec(ModelKind.QUTRIT_2PARAM, alpha=1.2)), None),
+    # the levels of test_static_reference_at_another_level among them
+    "anharmonic-16": (ANHARMONIC, [0, 1, 2, 5, 11]),
+    "anharmonic-128": (models.build(ModelSpec(ModelKind.ANHARMONIC_2PARAM, fock_dim=128)),
+                       [0, 2, 5, 64]),
+    "dense_real": (_golden_model("dense_real.json"), None),
+    "real_h0_complex_coupling": (_golden_model("real_h0_complex_coupling.json"), None),
+}
+
+
+class TestStaticReference:
+    """A scan's static reference is static_report's bound B, bit for bit, or None."""
+
+    @staticmethod
+    def expected(p, level):
+        at_level = replace(p, level=level)
+        try:
+            corrections = [first_order_correction(at_level, mu) for mu in range(p.num_parameters)]
+        except DegeneracyError:
+            return None
+        return static_report(corrections).bound_b
+
+    @pytest.mark.parametrize("name", sorted(STATIC_REFERENCE_MODELS))
+    def test_equals_the_static_report_bit_for_bit(self, name):
+        p, levels = STATIC_REFERENCE_MODELS[name]
+        for level in range(p.dim) if levels is None else levels:
+            scan = scan_time(p, p.spectral.eigenstate(level), [0.0, 0.5, 1.3])
+            expected = self.expected(p, level)
+            assert expected is not None, (name, level)
+            assert np.float64(scan.static_reference).tobytes() == np.float64(expected).tobytes(), (
+                name, level
+            )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_degenerate_coupled_level_has_none(self, seed):
+        problem, _ = _degenerate_model(seed, tiny_gap=False)
+        for level in (0, 1):  # exactly degenerate with each other and coupled
+            assert self.expected(problem, level) is None
+            scan = scan_time(problem, problem.spectral.eigenstate(level), [0.5, 1.0])
+            assert scan.static_reference is None
+        level = problem.level  # not degenerate with any level
+        scan = scan_time(problem, problem.spectral.eigenstate(level), [0.5, 1.0])
+        expected = self.expected(problem, level)
+        assert np.float64(scan.static_reference).tobytes() == np.float64(expected).tobytes()
+
+    def test_probe_off_every_eigenstate_has_none(self):
+        p = STATIC_REFERENCE_MODELS["qutrit"][0]
+        probe = StateVector(np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0))
+        assert scan_time(p, probe, [0.5, 1.0]).static_reference is None

@@ -313,6 +313,13 @@ class TestDiagonalSolve:
         assert dec.eigenvalues.dtype == dec.eigenvectors.dtype == np.float64
         assert np.array_equal(dec.eigenvalues, expected_vals)
         assert np.array_equal(dec.eigenvectors, expected_vecs)
+        # the phase fix is skipped on this path: each column's one nonzero
+        # entry is already +1.0, so its pivot needs no phase
+        vecs = operators._diagonal_eigh(a)[1]
+        nonzero = vecs != 0.0
+        assert np.all(nonzero.sum(axis=0) == 1)
+        assert np.all(vecs[nonzero] == 1.0)
+        assert not np.any(np.signbit(vecs))
 
     @pytest.mark.parametrize(
         "a",
