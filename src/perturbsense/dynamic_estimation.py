@@ -77,6 +77,7 @@ from .static_estimation import (
     assemble,
     make_report,
     split_tensor,
+    static_tensor,
 )
 
 __all__ = [
@@ -367,7 +368,7 @@ def _static_reference(p: PerturbationProblem, c: np.ndarray, rows: np.ndarray) -
     ``c`` is the probe V^dag psi0 on the eigenbasis rows ``rows``, which
     hold all of its nonzero entries.  B is what
     ``static_report([first_order_correction(replace(p, level=k), mu) ...]).bound_b``
-    reads for that level k, bit for bit: the same geometric tensor of the
+    reads for that level k, bit for bit: :func:`static_tensor` of the
     same raw corrections, taken through the same split and assembly, but
     with no state vector, correction or report built to read one number.
     None when the probe is not an eigenstate or a coupled level is
@@ -379,12 +380,11 @@ def _static_reference(p: PerturbationProblem, c: np.ndarray, rows: np.ndarray) -
         return None
     level = int(rows[top])
     try:
-        raws = np.stack([_correction_vector(p, level, mu) for mu in range(p.num_parameters)])
+        raws = [_correction_vector(p, level, mu) for mu in range(p.num_parameters)]
     except DegeneracyError:
         return None
-    # the reference state as static_report reads it, a complex copy of V[:, level]
-    reference = p.spectral.eigenvectors[:, level].astype(complex)
-    return float(assemble(*split_tensor(geometric_tensor(reference, raws)))[1])
+    tensor = static_tensor(p.spectral.eigenvectors[:, level], raws)
+    return float(assemble(*split_tensor(tensor))[1])
 
 
 def scan_time(p: PerturbationProblem, psi0: StateVector, times) -> TimeScan:

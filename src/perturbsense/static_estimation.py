@@ -36,6 +36,7 @@ __all__ = [
     "split_tensor",
     "assemble",
     "make_report",
+    "static_tensor",
     "static_report",
 ]
 
@@ -349,17 +350,27 @@ def make_report(tensor: np.ndarray) -> EstimationReport:
     return _report_at(q, d, spectrum, b, r)
 
 
+def static_tensor(reference, raws) -> np.ndarray:
+    """The package's one static Gram, as a P x P geometric tensor.
+
+    ``reference`` holds the amplitudes of the unperturbed eigenstate and
+    ``raws`` the P raw first-order corrections to it.  Q is 4 Re and D is
+    4 Im of the Gram matrix of the raws.  :func:`static_report` and a
+    scan's static reference both read B off this tensor.
+    """
+    if any(np.size(v) != np.size(raws[0]) for v in raws):
+        raise DimensionMismatchError("corrections live in different spaces")
+    # The corrections are orthogonal to the reference state, so the
+    # projection term of the geometric tensor is at the rounding level.
+    return geometric_tensor(np.asarray(reference, dtype=complex), np.stack(raws))
+
+
 def static_report(corrections) -> EstimationReport:
     """QFIM, Uhlmann curvature, B and R of a set of first-order corrections.
 
-    The package's one static Gram: Q is 4 Re and D is 4 Im of the Gram
-    matrix of the raw corrections, read by :func:`make_report`.
+    :func:`static_tensor` of the raw corrections, read by :func:`make_report`.
     """
     if len(corrections) < 1:
         raise ValueError("at least one correction is required")
     raws = [c.raw.amplitudes for c in corrections]
-    if any(v.size != raws[0].size for v in raws):
-        raise DimensionMismatchError("corrections live in different spaces")
-    # The corrections are orthogonal to the reference state, so the
-    # projection term of the geometric tensor is at the rounding level.
-    return make_report(geometric_tensor(corrections[0].reference.amplitudes, np.stack(raws)))
+    return make_report(static_tensor(corrections[0].reference.amplitudes, raws))

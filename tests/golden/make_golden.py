@@ -8,16 +8,11 @@ A change that moves digits on purpose regenerates the file and says why:
 
 It prints the argv of every case whose stdout differs from the file it
 replaces, with the largest relative move |b - a| / max(|a|, |b|) of any
-number in it, so the moved cases can be listed.  With ``--check`` it
-prints the same lines but leaves the file as it is, and exits 1 if any
-case is new or moved:
-
-    PYTHONPATH=src python tests/golden/make_golden.py --check
+number in it, so the moved cases can be listed.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
@@ -25,7 +20,7 @@ import os
 import re
 from pathlib import Path
 
-from perturbsense import cli
+from perturbsense.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_outputs.json")
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -87,7 +82,7 @@ def run(argv: list[str]) -> tuple[int, str]:
     """Exit status and stdout of ``perturbsense ARGV``, run in this process."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
+        code = main(argv)
     return code, out.getvalue()
 
 
@@ -107,18 +102,13 @@ def largest_move(old: str, new: str) -> str:
     return f"largest relative move {move:.1e}"
 
 
-def write(check: bool = False) -> tuple[int, int]:
-    """Run every case and write the file, unless ``check``.
-
-    Returns the number of cases and of those that are new or moved.
-    """
+def write() -> int:
     os.chdir(GOLDEN.parent)  # where the model files are
     previous = {}
     if GOLDEN.exists():
         for record in json.loads(GOLDEN.read_text(encoding="utf-8")):
             previous[tuple(record["argv"])] = record["stdout"]
     records = []
-    differing = 0
     for argv in cases():
         code, stdout = run(argv)
         if code != 0:
@@ -128,28 +118,10 @@ def write(check: bool = False) -> tuple[int, int]:
             print(f"new: {' '.join(argv)}")
         elif old != stdout:
             print(f"changed: {' '.join(argv)}  ({largest_move(old, stdout)})")
-        differing += old != stdout
         records.append({"argv": argv, "stdout": stdout})
-    if not check:
-        GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
-    return len(records), differing
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="report new and moved cases without writing; exit 1 if there are any",
-    )
-    args = parser.parse_args(argv)
-    total, differing = write(check=args.check)
-    if args.check:
-        print(f"{differing} of {total} cases new or moved in {GOLDEN}")
-        return 1 if differing else 0
-    print(f"wrote {total} cases to {GOLDEN}")
-    return 0
+    GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    return len(records)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    print(f"wrote {write()} cases to {GOLDEN}")

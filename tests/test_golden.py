@@ -30,39 +30,7 @@ def test_default_output_is_byte_identical(capsys, monkeypatch, case):
 
 def test_pinned_cases_are_the_generators():
     """The argv of every pinned case, in order, is what ``make_golden.cases()`` lists."""
-    assert [case["argv"] for case in CASES] == _make_golden().cases()
-
-
-def _make_golden():
     spec = importlib.util.spec_from_file_location("make_golden", GOLDEN / "make_golden.py")
     make_golden = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(make_golden)
-    return make_golden
-
-
-def test_check_reports_moved_cases_without_writing(capsys, monkeypatch, tmp_path):
-    """``make_golden.py --check`` lists new and moved cases, exits 1, and writes nothing."""
-    make_golden = _make_golden()
-    pinned = CASES[:3]
-    monkeypatch.setattr(make_golden, "cases", lambda: [case["argv"] for case in pinned])
-    golden = tmp_path / "cli_outputs.json"
-    monkeypatch.setattr(make_golden, "GOLDEN", golden)
-    monkeypatch.chdir(tmp_path)  # write() moves to the file's directory
-
-    golden.write_text(json.dumps(pinned), encoding="utf-8")
-    assert make_golden.main(["--check"]) == 0
-    assert capsys.readouterr().out.splitlines() == [f"0 of 3 cases new or moved in {golden}"]
-
-    moved = [dict(pinned[0], stdout=pinned[0]["stdout"].replace("1", "2", 1)), pinned[2]]
-    text = json.dumps(moved)
-    golden.write_text(text, encoding="utf-8")
-    assert make_golden.main(["--check"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith(f"changed: {' '.join(pinned[0]['argv'])}  (")
-    assert lines[1:] == [f"new: {' '.join(pinned[1]['argv'])}",
-                         f"2 of 3 cases new or moved in {golden}"]
-    assert golden.read_text(encoding="utf-8") == text
-
-    assert make_golden.main([]) == 0  # without the flag the file is rewritten
-    capsys.readouterr()
-    assert json.loads(golden.read_text(encoding="utf-8")) == pinned
+    assert [case["argv"] for case in CASES] == make_golden.cases()
