@@ -68,6 +68,10 @@ TABLE = [
     "--t-min", "0.05", "--t-max", "10", "--t-steps", "200", "--output-format", "csv",
 ]
 
+# A singular static report: at alpha = 0 the qutrit's two corrections are
+# parallel, so Q is singular and B and R print as null (JSON) and inf, nan (CSV).
+SINGULAR = ["static", "--model", "qutrit", "--alpha", "0"]
+
 
 def cases() -> list[list[str]]:
     return [
@@ -75,7 +79,9 @@ def cases() -> list[list[str]]:
         for model, lambdas in MODELS
         for command in commands(lambdas)
         for fmt in ("csv", "json")
-    ] + [command + LARGE for command in LARGE_COMMANDS] + [TABLE]
+    ] + [command + LARGE for command in LARGE_COMMANDS] + [TABLE] + [
+        SINGULAR + ["--output-format", fmt] for fmt in ("csv", "json")
+    ]
 
 
 def run(argv: list[str]) -> tuple[int, str]:
