@@ -44,7 +44,6 @@ from .static_estimation import (
     EstimationReport,
     QfiMatrix,
     UhlmannMatrix,
-    assemble,
     bound_b,
     make_report,
     qfim_static,
@@ -105,7 +104,6 @@ __all__ = [
     "UhlmannMatrix",
     "ZeroCorrectionError",
     "angle_decomposition",
-    "assemble",
     "bound_b",
     "build",
     "dynamic_report",

@@ -156,9 +156,8 @@ def _resolve_probe(args, problem: PerturbationProblem, name: str) -> StateVector
 
 
 def _parts(report) -> tuple:
-    """Q, D, B and R of a report, as the scan arrays hold them per row."""
-    r = math.nan if report.quantumness_r is None else report.quantumness_r
-    return report.qfim.entries, report.uhlmann.entries, report.bound_b, r
+    """Q, D, B and R of a report of any shape."""
+    return report.qfim.entries, report.uhlmann.entries, report.bound_b, report.quantumness_r
 
 
 def _report_fields(q, d, b, r) -> dict:
@@ -258,9 +257,9 @@ def _run_scan(args) -> str:
     psi0 = _resolve_probe(args, problem, name)
     scan = scan_time(problem, psi0, grid)
 
+    q, d, b, r = _parts(scan.report)
     if args.output_format == "json":
-        rows = zip(scan.times.tolist(), scan.qfim, scan.uhlmann,
-                   scan.bound_b.tolist(), scan.quantumness_r.tolist())
+        rows = zip(scan.times.tolist(), q, d, b.tolist(), r.tolist())
         payload = {
             "command": "scan",
             "model": name,
@@ -274,7 +273,7 @@ def _run_scan(args) -> str:
     if scan.static_reference is not None:
         lines.append(f"# static_reference = {_fmt(scan.static_reference)}")
     lines.append(",".join(["t"] + _flat_header(problem.num_parameters)))
-    columns = _flat_columns(scan.qfim, scan.uhlmann, scan.bound_b, scan.quantumness_r)
+    columns = _flat_columns(q, d, b, r)
     return "\n".join(lines) + "\n" + _csv(np.column_stack([scan.times, columns]))
 
 

@@ -5,8 +5,11 @@ U0(t) (1 - i sum_mu lambda_mu K_mu(t)) |psi0>, with the time-integrated
 interaction operators K_mu(t) = integral_0^t U0^dag(s) H_mu U0(s) ds.
 The dynamical QFIM Q(t) and Uhlmann curvature D(t) are the geometric
 tensor of the tangent vectors K_mu(t)|psi0>, and B(t), R(t) follow from
-them.  The production path (:func:`scan_time`, :func:`dynamic_report`)
-never builds a d x d K operator.  In the H0 eigenbasis, with
+them: :func:`~perturbsense.static_estimation.make_report` builds the
+report of one time or, for :func:`scan_time`, of the whole grid at once,
+with B = +inf and R = nan at singular times.  The production path
+(:func:`scan_time`, :func:`dynamic_report`) never builds a d x d K
+operator.  In the H0 eigenbasis, with
 c = V^dag psi0, H~_mu = V^dag H_mu V and gaps g_ij = E_i - E_j,
 
     K~_mu(t) c = e^{iEt} o [M_mu (e^{-iEt} o c)] - M_mu c,
@@ -54,7 +57,7 @@ correction enters at second order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -71,14 +74,7 @@ from .operators import (
     integrate_operator,
 )
 from .perturbation import PerturbationProblem, _correction_vector
-from .static_estimation import (
-    EstimationReport,
-    _report_at,
-    assemble,
-    make_report,
-    split_tensor,
-    static_tensor,
-)
+from .static_estimation import EstimationReport, make_report, static_tensor
 
 __all__ = [
     "KOperator",
@@ -117,41 +113,21 @@ class KOperator:
 class TimeScan:
     """Q, D, B and R over a time grid, plus the static bound for comparison.
 
-    ``qfim`` and ``uhlmann`` hold one P x P matrix per grid time, shape
-    (T, P, P).  Construction validates them all in one batched pass
-    (:func:`~perturbsense.static_estimation.assemble`) and derives the
-    ascending QFIM spectra ``qfim_spectrum`` (T, P), the bounds ``bound_b``
-    (T,), +inf at singular times, and the quantumness ``quantumness_r``
-    (T,), nan at singular times.  Every array is read-only.  ``reports``
-    builds one :class:`EstimationReport` per time on first access.
+    ``report`` is one :class:`EstimationReport` of shape (T,) for the
+    read-only grid ``times`` (T,): its QFIM and Uhlmann stacks are
+    (T, P, P), and B and R (T,), +inf and nan at singular times.
+    ``reports`` splits it into one single-point report per time, built
+    on first access.
     """
 
     times: np.ndarray
-    qfim: np.ndarray
-    uhlmann: np.ndarray
+    report: EstimationReport
     static_reference: float | None
-    qfim_spectrum: np.ndarray = field(init=False, repr=False)
-    bound_b: np.ndarray = field(init=False)
-    quantumness_r: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        q = np.asarray(self.qfim, dtype=float)
-        d = np.asarray(self.uhlmann, dtype=float)
-        if t.ndim != 1 or q.ndim != 3 or q.shape[0] != t.size:
-            raise ValueError("one P x P QFIM per grid time is required")
-        derived = assemble(q, d)
-        names = ("times", "qfim", "uhlmann", "qfim_spectrum", "bound_b", "quantumness_r")
-        for name, a in zip(names, (t, q, d, *derived)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
 
     @cached_property
     def reports(self) -> tuple[EstimationReport, ...]:
-        return tuple(
-            map(_report_at, self.qfim, self.uhlmann, self.qfim_spectrum,
-                self.bound_b, self.quantumness_r)
-        )
+        tensors = self.report.qfim.entries + 1j * self.report.uhlmann.entries
+        return tuple(map(make_report, tensors))
 
 
 def k_operator_spectral(
@@ -214,7 +190,7 @@ def qfim_dynamic(psi0: StateVector, ks) -> EstimationReport:
     state and D is four times the imaginary part of their cross moments:
     the geometric tensor of the vectors K_mu|psi0>.  For one K operator Q
     is the single-coupling QFI 4 Var K(t).  Singular QFIMs yield
-    bound_b = +inf and quantumness_r = None.  Kept as the full-matrix
+    bound_b = +inf and quantumness_r = nan.  Kept as the full-matrix
     reference for :func:`dynamic_report` and :func:`scan_time`.
     """
     ks = list(ks)
@@ -369,10 +345,10 @@ def _static_reference(p: PerturbationProblem, c: np.ndarray, rows: np.ndarray) -
     hold all of its nonzero entries.  B is what
     ``static_report([first_order_correction(replace(p, level=k), mu) ...]).bound_b``
     reads for that level k, bit for bit: :func:`static_tensor` of the
-    same raw corrections, taken through the same split and assembly, but
-    with no state vector, correction or report built to read one number.
-    None when the probe is not an eigenstate or a coupled level is
-    degenerate with it.
+    same raw corrections, read by the same :func:`make_report`, but with
+    no state vector or correction built to read one number.  None when
+    the probe is not an eigenstate or a coupled level is degenerate with
+    it.
     """
     projections = np.abs(c)
     top = int(np.argmax(projections))
@@ -384,19 +360,20 @@ def _static_reference(p: PerturbationProblem, c: np.ndarray, rows: np.ndarray) -
     except DegeneracyError:
         return None
     tensor = static_tensor(p.spectral.eigenvectors[:, level], raws)
-    return float(assemble(*split_tensor(tensor))[1])
+    return float(make_report(tensor).bound_b)
 
 
 def scan_time(p: PerturbationProblem, psi0: StateVector, times) -> TimeScan:
     """Evaluate Q, D, B and R on an increasing grid of times.
 
-    The tangents of every time come from one eigensolve of H0, and Q, D,
-    B and R are assembled for the whole grid in one batched pass.
+    The tangents of every time come from one eigensolve of H0, and one
+    :func:`make_report` call builds the report of the whole grid.
     Singular times are recorded (bound_b = +inf), never fatal.  The
     static reference bound is filled in when the probe coincides with an
     eigenstate of H0, so dynamical and static schemes can be compared.
+    ``times`` is copied; the caller's array is left as it was.
     """
-    grid = np.asarray(times, dtype=float)
+    grid = np.array(times, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ValueError("time grid must be a nonempty 1-d array")
     if not np.all(np.isfinite(grid)):
@@ -406,10 +383,9 @@ def scan_time(p: PerturbationProblem, psi0: StateVector, times) -> TimeScan:
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("time grid must be strictly increasing")
     tangents, c, rows = _probe_tangents(p, psi0, grid)
-    qfim, uhlmann = split_tensor(geometric_tensor(c, tangents))
+    grid.setflags(write=False)
     return TimeScan(
         times=grid,
-        qfim=qfim,
-        uhlmann=uhlmann,
+        report=make_report(geometric_tensor(c, tangents)),
         static_reference=_static_reference(p, c, rows),
     )

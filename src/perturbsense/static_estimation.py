@@ -6,10 +6,11 @@ quantumness (asymptotic incompatibility) R.  Everything is evaluated at
 leading order in the couplings, where the QFIM is four times the real
 part of the Gram matrix of the raw first-order corrections.
 
-The checks and the B and R formulas work on stacks of shape (..., P, P):
-:func:`assemble` validates a whole time grid and reads B and R off one
-batched ``eigvalsh``, and a single report is the one-matrix case of the
-same code.
+One report type serves every shape: :func:`make_report` builds an
+:class:`EstimationReport` from geometric tensors of shape (..., P, P),
+() leading axes for one point and (T,) for a time grid.  The checks run
+on the whole stack, and B and R are read off one batched ``eigvalsh``.
+Where Q is numerically singular, B is +inf and R is nan at every shape.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "quantumness_r",
     "sld_two_param_explicit",
     "split_tensor",
-    "assemble",
     "make_report",
     "static_tensor",
     "static_report",
@@ -78,29 +78,29 @@ def _qfim_spectrum(m: np.ndarray) -> np.ndarray:
     return eig
 
 
-def _frozen(cls, **fields):
-    """A frozen dataclass instance from fields that were validated as a stack."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
+def _square(entries, what: str) -> np.ndarray:
+    """``entries`` as a float stack of square matrices (..., P, P)."""
+    m = np.asarray(entries, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"{what} must be square, got shape {m.shape}")
+    return m
 
 
 @dataclass(frozen=True, eq=False)
 class QfiMatrix:
-    """Real symmetric positive-semidefinite quantum Fisher information matrix.
+    """Real symmetric positive-semidefinite quantum Fisher information matrix,
+    or a stack of them, shape (..., P, P).
 
-    ``spectrum`` holds the ascending eigenvalues computed by the
-    positive-semidefiniteness check; B and R are read from it.
+    ``spectrum`` holds the ascending eigenvalues (..., P) computed by the
+    positive-semidefiniteness check; B and R are read from it.  A failing
+    check on a stack names the first bad index.
     """
 
     entries: np.ndarray
     spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"QFIM must be square, got shape {m.shape}")
+        m = _square(self.entries, "QFIM")
         eig = _qfim_spectrum(m)
         m.setflags(write=False)
         eig.setflags(write=False)
@@ -109,44 +109,60 @@ class QfiMatrix:
 
     @property
     def num_parameters(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
 class UhlmannMatrix:
-    """Real antisymmetric mean Uhlmann curvature matrix."""
+    """Real antisymmetric mean Uhlmann curvature matrix, or a stack of them."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"Uhlmann matrix must be square, got shape {m.shape}")
+        m = _square(self.entries, "Uhlmann matrix")
         _check_symmetry(m, np.add, "Uhlmann matrix", "antisymmetric")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
     @property
     def num_parameters(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
 class EstimationReport:
-    """QFIM, Uhlmann curvature, bound B, and quantumness R for one model point.
+    """QFIM, Uhlmann curvature, bound B and quantumness R at one model point
+    or over a grid of points.
 
-    ``bound_b`` is +inf and ``quantumness_r`` is None when the QFIM is
-    singular (parameters not jointly identifiable).
+    ``qfim`` and ``uhlmann`` hold stacks of shape (..., P, P), and
+    ``bound_b`` and ``quantumness_r`` are read off the QFIM spectrum on
+    construction, with the leading shape (...): float64 scalars for one
+    point, shape (T,) for a time scan.  Where the QFIM is numerically
+    singular (parameters not jointly identifiable) B is +inf and R is
+    nan.  Every array is read-only.
     """
 
     qfim: QfiMatrix
     uhlmann: UhlmannMatrix
-    bound_b: float
-    quantumness_r: float | None
+    bound_b: np.floating | np.ndarray = field(init=False)
+    quantumness_r: np.floating | np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        q, d = self.qfim, self.uhlmann
+        if d.entries.shape != q.entries.shape:
+            raise DimensionMismatchError("QFIM and Uhlmann matrix sizes differ")
+        eig = q.spectrum
+        regular = _rank(eig) == q.num_parameters
+        b = _bound(eig, regular)
+        r = _quantumness(q.entries, d.entries, eig, regular)
+        for name, a in (("bound_b", b), ("quantumness_r", r)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a[()])
 
     @property
-    def singular(self) -> bool:
-        return math.isinf(self.bound_b)
+    def singular(self):
+        """True where the QFIM is numerically singular (B = +inf)."""
+        return np.isinf(self.bound_b)
 
 
 def sld_single(c: FirstOrderCorrection, lam: float = 0.0) -> HermitianOperator:
@@ -301,53 +317,16 @@ def split_tensor(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (q + np.swapaxes(q, -1, -2)), 0.5 * (d - np.swapaxes(d, -1, -2))
 
 
-def assemble(qfim: np.ndarray, uhlmann: np.ndarray):
-    """Spectra, bounds B and quantumness R of stacks of Q and D, shape (..., P, P).
-
-    Every Q and D is validated as :class:`QfiMatrix` and
-    :class:`UhlmannMatrix` validate one matrix; a failing check raises
-    their ``ValueError`` naming the first bad index of the stack.  Returns
-    the ascending spectra (..., P), B (...) and R (...); where Q is
-    numerically singular B is +inf and R is nan.  One ``eigvalsh`` call
-    serves the whole stack.
-    """
-    qfim = np.asarray(qfim, dtype=float)
-    uhlmann = np.asarray(uhlmann, dtype=float)
-    if qfim.ndim < 2 or qfim.shape[-1] != qfim.shape[-2]:
-        raise ValueError(f"QFIM must be square, got shape {qfim.shape}")
-    if uhlmann.shape != qfim.shape:
-        raise DimensionMismatchError("QFIM and Uhlmann matrix sizes differ")
-    eig = _qfim_spectrum(qfim)
-    _check_symmetry(uhlmann, np.add, "Uhlmann matrix", "antisymmetric")
-    regular = _rank(eig) == qfim.shape[-1]
-    return eig, _bound(eig, regular), _quantumness(qfim, uhlmann, eig, regular)
-
-
-def _report_at(qfim, uhlmann, spectrum, b, r) -> EstimationReport:
-    """The report of one point of :func:`assemble`'s validated output."""
-    return EstimationReport(
-        qfim=_frozen(QfiMatrix, entries=qfim, spectrum=spectrum),
-        uhlmann=_frozen(UhlmannMatrix, entries=uhlmann),
-        bound_b=float(b),
-        quantumness_r=None if math.isnan(r) else float(r),
-    )
-
-
 def make_report(tensor: np.ndarray) -> EstimationReport:
-    """QFIM, Uhlmann curvature, B and R from one P x P geometric tensor.
+    """The package's one report constructor: Q, D, B and R from geometric tensors.
 
-    ``tensor`` is the output of :func:`~perturbsense.operators.geometric_tensor`
-    for one point: Q is its symmetrized real part and D its antisymmetrized
-    imaginary part.  A singular QFIM yields bound_b = +inf and
-    quantumness_r = None.  This is the single-point case of :func:`assemble`.
+    ``tensor`` is the output of :func:`~perturbsense.operators.geometric_tensor`,
+    one P x P matrix per point, shape (..., P, P): Q is its symmetrized
+    real part and D its antisymmetrized imaginary part.  The report has
+    the tensor's leading shape; where Q is singular B is +inf and R nan.
     """
-    if np.ndim(tensor) != 2:
-        raise ValueError(f"one P x P tensor is required, got shape {np.shape(tensor)}")
-    q, d = split_tensor(tensor)
-    spectrum, b, r = assemble(q, d)
-    for a in (q, d, spectrum):
-        a.setflags(write=False)
-    return _report_at(q, d, spectrum, b, r)
+    q, d = split_tensor(np.asarray(tensor))
+    return EstimationReport(QfiMatrix(q), UhlmannMatrix(d))
 
 
 def static_tensor(reference, raws) -> np.ndarray:

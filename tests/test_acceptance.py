@@ -122,7 +122,7 @@ def test_criterion_5_dynamic_qubit():
 
         assert abs(qfi(np.pi / 2) - 4.0) <= 1e-9
         fine = np.linspace(0.0, np.pi, 2001)
-        values = scan_time(problem, probe, fine).qfim[:, 0, 0]
+        values = scan_time(problem, probe, fine).report.qfim.entries[:, 0, 0]
         assert max(values) <= 4.0 + 1e-9
         best = minimize_scalar(
             lambda t: -qfi(t), bounds=(1.0, 2.0), method="bounded",
@@ -164,7 +164,7 @@ def test_criterion_7_dynamic_anharmonic():
             assert abs(means[0]) <= 1e-10
             assert abs(means[1] - 0.75 * t) <= 1e-10
         scan = scan_time(problem, vacuum, grid)
-        for t, q in zip(grid, scan.qfim):
+        for t, q in zip(grid, scan.report.qfim.entries):
             q11, q22, q12 = models.reference_anharmonic_dynamic(t)
             assert abs(q[0, 0] - q11) <= 1e-8
             assert abs(q[1, 1] - q22) <= 1e-8
@@ -183,7 +183,7 @@ def test_criterion_8_bound_curve_reproduction():
         def gap(t):
             return dynamic_report(problem, vacuum, t).bound_b - b_static
 
-        bounds = scan.bound_b
+        bounds = scan.report.bound_b
         signs = np.sign(bounds - b_static)
         flips = np.nonzero(np.diff(signs) != 0)[0]
         assert flips.size == 2

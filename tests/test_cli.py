@@ -247,15 +247,15 @@ class TestScanCommand:
             assert "too close" in err
 
     def test_reads_arrays_not_reports(self, capsys, monkeypatch):
-        # rows come from the arrays, and the static reference reads B off its
-        # tensor without building a QfiMatrix either
+        # rows come from the scan's one report of the whole grid, and the
+        # static reference reads B off one more report of its tensor
         from perturbsense import dynamic_estimation, static_estimation
 
         built = []
         post_init = static_estimation.QfiMatrix.__post_init__
 
         def counting_post_init(self):
-            built.append(self)
+            built.append(np.shape(self.entries))
             post_init(self)
 
         def no_reports(self):
@@ -272,7 +272,7 @@ class TestScanCommand:
                 "--output-format", fmt,
             )
             assert code == 0
-            assert built == []
+            assert sorted(built) == [(2, 2), (200, 2, 2)]
 
 
 class TestTableFormat:

@@ -12,10 +12,12 @@ import pytest
 from perturbsense import (
     DegeneracyError,
     DimensionMismatchError,
+    EstimationReport,
     HermitianOperator,
     PerturbationProblem,
+    QfiMatrix,
     StateVector,
-    TimeScan,
+    UhlmannMatrix,
     dynamic_report,
     first_order_correction,
     hermitian_eig,
@@ -169,7 +171,7 @@ class TestQfimDynamic:
         report = qfim_dynamic(VACUUM, anharmonic_ks(np.pi))
         assert report.singular
         assert report.bound_b == math.inf
-        assert report.quantumness_r is None
+        assert math.isnan(report.quantumness_r)
 
     def test_mismatched_times_rejected(self):
         ks = [
@@ -266,7 +268,7 @@ class TestScanTime:
         grid = np.linspace(0.05, 3.1, 120)
         scan = scan_time(ANHARMONIC, VACUUM, grid)
         assert scan.static_reference == pytest.approx(466.0 / 1131.0, abs=1e-9)
-        bounds = scan.bound_b
+        bounds = scan.report.bound_b
         inside = (grid > 0.731) & (grid < 2.78)
         outside = (grid < 0.711) | (grid > 2.80)
         assert np.all(bounds[inside] < scan.static_reference)
@@ -276,7 +278,7 @@ class TestScanTime:
         problem = models.build(ModelSpec(ModelKind.QUTRIT_2PARAM, alpha=np.pi / 2))
         grid = np.linspace(0.3, 2 * np.pi - 0.3, 101)
         scan = scan_time(problem, models.qutrit_probe(), grid)
-        bounds = scan.bound_b
+        bounds = scan.report.bound_b
         t_best = scan.times[int(np.argmin(bounds))]
         assert abs(t_best - np.pi) <= grid[1] - grid[0]
         idx = int(np.argmin(np.abs(grid - np.pi)))
@@ -289,6 +291,15 @@ class TestScanTime:
         scan = scan_time(ANHARMONIC, VACUUM, grid)
         assert math.isinf(scan.reports[1].bound_b)
         assert not math.isinf(scan.reports[0].bound_b)
+
+    def test_caller_grid_left_writable_and_unchanged(self):
+        grid = np.linspace(0.1, 3.0, 8)
+        before = grid.copy()
+        scan = scan_time(ANHARMONIC, VACUUM, grid)
+        assert grid.flags.writeable and np.array_equal(grid, before)
+        assert not scan.times.flags.writeable
+        grid[0] = 0.2  # the scan keeps its own copy
+        assert np.array_equal(scan.times, before)
 
     def test_probe_not_an_eigenstate_has_no_reference(self):
         probe = models.qubit_probe(0.6, 0.0)
@@ -332,55 +343,58 @@ class TestScanTime:
         assert sorted(calls) == [(2, 2), (200, 2, 2)]
 
 
-class TestTimeScanArrays:
+class TestTimeScanReport:
     GRID = np.array([0.0, 0.4, np.pi / 2, 2.5, np.pi])  # Q is singular at 0 and pi
 
-    def test_stored_arrays(self):
+    def test_report_arrays(self):
         scan = scan_time(ANHARMONIC, VACUUM, self.GRID)
-        assert scan.qfim.shape == scan.uhlmann.shape == (5, 2, 2)
-        assert scan.qfim_spectrum.shape == (5, 2)
-        assert scan.bound_b.shape == scan.quantumness_r.shape == (5,)
-        for a in (scan.times, scan.qfim, scan.uhlmann, scan.qfim_spectrum,
-                  scan.bound_b, scan.quantumness_r):
+        report = scan.report
+        q, d = report.qfim, report.uhlmann
+        assert q.entries.shape == d.entries.shape == (5, 2, 2)
+        assert q.spectrum.shape == (5, 2)
+        assert report.bound_b.shape == report.quantumness_r.shape == (5,)
+        for a in (scan.times, q.entries, d.entries, q.spectrum,
+                  report.bound_b, report.quantumness_r):
             assert not a.flags.writeable
         singular = np.array([True, False, False, False, True])
-        assert np.all(np.isinf(scan.bound_b[singular]))
-        assert np.all(np.isnan(scan.quantumness_r[singular]))
-        assert np.all(np.isfinite(scan.bound_b[~singular]))
-        assert np.all(np.isfinite(scan.quantumness_r[~singular]))
+        assert np.all(np.isinf(report.bound_b[singular]))
+        assert np.all(np.isnan(report.quantumness_r[singular]))
+        assert np.all(np.isfinite(report.bound_b[~singular]))
+        assert np.all(np.isfinite(report.quantumness_r[~singular]))
 
     def test_reports_built_on_first_read(self):
         scan = scan_time(ANHARMONIC, VACUUM, self.GRID)
         assert "reports" not in vars(scan)
         reports = scan.reports
         assert scan.reports is reports and len(reports) == 5
+        q, d = scan.report.qfim, scan.report.uhlmann
+        b, r_grid = scan.report.bound_b, scan.report.quantumness_r
         for k, report in enumerate(reports):
             # Q + iD splits back into exactly Q and D: the single-point path
-            single = make_report(scan.qfim[k] + 1j * scan.uhlmann[k])
+            single = make_report(q.entries[k] + 1j * d.entries[k])
             for r in (report, single):
-                assert np.array_equal(r.qfim.entries, scan.qfim[k])
-                assert np.array_equal(r.qfim.spectrum, scan.qfim_spectrum[k])
-                assert np.array_equal(r.uhlmann.entries, scan.uhlmann[k])
-                assert r.bound_b == scan.bound_b[k]
-                if math.isnan(scan.quantumness_r[k]):
-                    assert r.quantumness_r is None and r.singular
+                assert np.array_equal(r.qfim.entries, q.entries[k])
+                assert np.array_equal(r.qfim.spectrum, q.spectrum[k])
+                assert np.array_equal(r.uhlmann.entries, d.entries[k])
+                assert r.bound_b == b[k]
+                if math.isnan(r_grid[k]):
+                    assert math.isnan(r.quantumness_r) and r.singular
                 else:
-                    assert r.quantumness_r == scan.quantumness_r[k]
+                    assert r.quantumness_r == r_grid[k]
 
     @pytest.mark.parametrize("k", [0, 3, 4])
-    def test_construction_names_bad_grid_index(self, k):
+    def test_validation_names_bad_grid_index(self, k):
         scan = scan_time(ANHARMONIC, VACUUM, self.GRID)
-        q = scan.qfim.copy()
+        q = scan.report.qfim.entries.copy()
         q[k, 0, 1] += 1e-3
         with pytest.raises(ValueError, match=f"QFIM must be symmetric at grid index {k}$"):
-            TimeScan(times=scan.times, qfim=q, uhlmann=scan.uhlmann, static_reference=None)
-        d = scan.uhlmann.copy()
+            QfiMatrix(q)
+        d = scan.report.uhlmann.entries.copy()
         d[k, 0, 1] = math.nan
         with pytest.raises(ValueError, match=f"entries must be finite at grid index {k}$"):
-            TimeScan(times=scan.times, qfim=scan.qfim, uhlmann=d, static_reference=None)
-        with pytest.raises(ValueError, match="per grid time"):
-            TimeScan(times=scan.times[:-1], qfim=scan.qfim, uhlmann=scan.uhlmann,
-                     static_reference=None)
+            UhlmannMatrix(d)
+        with pytest.raises(DimensionMismatchError):
+            EstimationReport(scan.report.qfim, UhlmannMatrix(scan.report.uhlmann.entries[:-1]))
 
 
 def _per_time_reference(problem, probe, grid):
@@ -467,8 +481,8 @@ def _degenerate_model(seed, tiny_gap):
 
 
 def _scan_arrays(problem, probe, grid):
-    scan = scan_time(problem, probe, grid)
-    return scan.qfim, scan.uhlmann
+    report = scan_time(problem, probe, grid).report
+    return report.qfim.entries, report.uhlmann.entries
 
 
 class TestProbeSpaceEngine:
@@ -645,7 +659,7 @@ class TestProbeSpaceEngine:
         monkeypatch.setattr(np, "sin", no_sin)
         report = dynamic_report(problem, models.vacuum_state(128), 0.0)
         assert not report.qfim.entries.any() and not report.uhlmann.entries.any()
-        assert report.bound_b == math.inf and report.quantumness_r is None
+        assert report.bound_b == math.inf and math.isnan(report.quantumness_r)
         assert not gathered
 
     def test_dynamic_report_rejects_bad_times(self):
@@ -847,7 +861,7 @@ class TestSupportGather:
         calls = [(q, mu, columns.tolist()) for q, mu, columns in gathered]
         assert calls == [(problem, 0, [0]), (problem, 1, [0]), (problem, 0, 0), (problem, 1, 0)]
         assert problem.coupling_columns(0, [0]).shape == (1024, 1)
-        for t, q in zip(self.GRID, scan.qfim):
+        for t, q in zip(self.GRID, scan.report.qfim.entries):
             q11, q22, q12 = models.reference_anharmonic_dynamic(t)
             assert np.max(np.abs(q - [[q11, q12], [q12, q22]])) <= 1e-12 * q11
 

@@ -10,6 +10,8 @@ import pytest
 
 from perturbsense import (
     AngleDecomposition,
+    DimensionMismatchError,
+    EstimationReport,
     HermitianOperator,
     PerturbationProblem,
     QfiMatrix,
@@ -32,7 +34,7 @@ from perturbsense import (
 )
 from perturbsense import models
 from perturbsense.models import ModelKind, ModelSpec
-from perturbsense.static_estimation import assemble, split_tensor
+from perturbsense.static_estimation import split_tensor
 
 from helpers import random_hermitian, random_state
 
@@ -323,7 +325,7 @@ class TestStaticReport:
         report = static_report(cs)
         assert calls == [(2, 2)]
         assert report.bound_b == pytest.approx(466.0 / 1131.0, abs=1e-9)
-        assert report.quantumness_r is not None
+        assert not math.isnan(report.quantumness_r)
 
     def test_bundles_fields(self):
         problem = models.build(ModelSpec(ModelKind.QUTRIT_2PARAM, alpha=np.pi / 2))
@@ -337,7 +339,7 @@ class TestStaticReport:
         report = static_report(corrections_for(problem))
         assert report.singular
         assert report.bound_b == math.inf
-        assert report.quantumness_r is None
+        assert math.isnan(report.quantumness_r)
 
 
 class TestSldTwoParamExplicit:
@@ -427,16 +429,21 @@ def random_tensor_stack(rng, n_points, n_params, dim=6):
     return geometric_tensor(psi, tangents)
 
 
-class TestAssemble:
-    """The batched assembly of a stack against one point at a time."""
+def parts(report):
+    """Q, D, the QFIM spectrum, B and R of a report."""
+    return (report.qfim.entries, report.uhlmann.entries, report.qfim.spectrum,
+            report.bound_b, report.quantumness_r)
+
+
+class TestReportStack:
+    """A report of a stack of tensors against one point at a time."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("n_params", [1, 2, 3, 4])
     def test_batch_matches_single_points_bit_for_bit(self, n_params, seed):
         rng = np.random.default_rng(1700 + 10 * n_params + seed)
         tensors = random_tensor_stack(rng, 7, n_params)
-        q, d = split_tensor(tensors)
-        spectrum, b, r = assemble(q, d)
+        q, d, spectrum, b, r = parts(make_report(tensors))
         assert spectrum.shape == (7, n_params) and b.shape == r.shape == (7,)
         for k, tensor in enumerate(tensors):
             report = make_report(tensor)
@@ -447,7 +454,7 @@ class TestAssemble:
             single = QfiMatrix(q[k])
             assert bound_b(single) == b[k]
             if report.singular:
-                assert report.quantumness_r is None and math.isnan(r[k])
+                assert math.isnan(report.quantumness_r) and math.isnan(r[k])
                 continue
             assert report.quantumness_r == r[k]
             assert quantumness_r(single, UhlmannMatrix(d[k])) == r[k]
@@ -464,7 +471,7 @@ class TestAssemble:
     @pytest.mark.parametrize("n_params", [1, 2, 3, 4])
     def test_singular_rows(self, n_params):
         rng = np.random.default_rng(1800 + n_params)
-        spectrum, b, r = assemble(*split_tensor(random_tensor_stack(rng, 5, n_params)))
+        *_, b, r = parts(make_report(random_tensor_stack(rng, 5, n_params)))
         singular = [1, 3] if n_params > 1 else [1]
         assert np.all(np.isinf(b[singular])) and np.all(np.isnan(r[singular]))
         regular = [k for k in range(5) if k not in singular]
@@ -475,7 +482,7 @@ class TestAssemble:
         q = np.array([np.diag([-1e-12, 1.0]), np.zeros((2, 2)), np.diag([1e-12, 1.0]), np.eye(2)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, b, r = assemble(q, np.zeros_like(q))
+            *_, b, r = parts(make_report(q))
         assert np.all(np.isinf(b[:3])) and np.all(np.isnan(r[:3]))
         assert b[3] == 2.0 and r[3] == 0.0
 
@@ -485,9 +492,28 @@ class TestAssemble:
         d[:, 0, 1] = [1.0 + 5e-10, 1.0 + 1e-8]
         d[:, 1, 0] = -d[:, 0, 1]
         q = np.broadcast_to(np.eye(n_params), d.shape).copy()
-        _, _, r = assemble(q, d)
+        r = make_report(q + 1j * d).quantumness_r
         assert r[0] == 1.0 and r[1] == pytest.approx(1.0 + 1e-8, abs=1e-15)
         assert quantumness_r(QfiMatrix(q[0]), UhlmannMatrix(d[0])) == 1.0
+
+    def test_one_convention_at_every_shape(self):
+        rng = np.random.default_rng(1850)
+        tensors = random_tensor_stack(rng, 4, 2)
+        single, stack = make_report(tensors[1]), make_report(tensors)
+        assert single.bound_b.shape == () and stack.bound_b.shape == (4,)
+        for report in (single, stack):
+            assert not any(a.flags.writeable for a in parts(report))
+        for b, r in ((single.bound_b, single.quantumness_r),
+                     (stack.bound_b[1], stack.quantumness_r[1])):
+            assert type(b) is np.float64 and b == math.inf
+            assert type(r) is np.float64 and math.isnan(r)
+        assert single.singular and stack.singular.tolist() == [False, True, False, True]
+
+    def test_unequal_shapes_refused(self):
+        q = QfiMatrix(np.eye(2))
+        for d in (np.zeros((3, 3)), np.zeros((1, 2, 2))):
+            with pytest.raises(DimensionMismatchError):
+                EstimationReport(q, UhlmannMatrix(d))
 
     BAD_Q = {
         "asymmetric": ((0, 1), 0.7, "must be symmetric"),
@@ -505,17 +531,17 @@ class TestAssemble:
         q[k][entry] = value
         q[5][entry] = value  # a later bad row is not the one named
         with pytest.raises(ValueError, match=f"^QFIM {message} at grid index {k}$"):
-            assemble(q, d)
+            QfiMatrix(q)
 
     @pytest.mark.parametrize("k", [0, 3])
     def test_bad_uhlmann_names_grid_index(self, k):
         rng = np.random.default_rng(1901)
-        q, d = split_tensor(geometric_tensor(random_state(rng, 4), rng.normal(size=(4, 2, 4))))
+        _, d = split_tensor(geometric_tensor(random_state(rng, 4), rng.normal(size=(4, 2, 4))))
         symmetric = d.copy()
         symmetric[k, 1, 0] = symmetric[k, 0, 1] = 0.5
         with pytest.raises(ValueError, match=f"antisymmetric at grid index {k}$"):
-            assemble(q, symmetric)
+            UhlmannMatrix(symmetric)
         infinite = d.copy()
         infinite[k, 0, 1], infinite[k, 1, 0] = math.inf, -math.inf
         with pytest.raises(ValueError, match=f"entries must be finite at grid index {k}$"):
-            assemble(q, infinite)
+            UhlmannMatrix(infinite)
