@@ -22,6 +22,7 @@ numerical errors (degeneracy, level tracking, fatal singularities), and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -490,10 +491,14 @@ def run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return run(args)
+    return run(_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

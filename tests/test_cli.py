@@ -867,6 +867,16 @@ def test_every_export_resolves():
 
 
 class TestEntryPoint:
+    def test_parser_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        for argv in (["static", "--model", "qubit"], ["dynamic", "--model", "qubit", "--time", "1"]):
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == 0
+        assert built == [1]
+
     def test_module_invocation(self):
         result = subprocess.run(
             [sys.executable, "-m", "perturbsense.cli", "static", "--model", "qubit"],
