@@ -325,7 +325,7 @@ def make_report(tensor: np.ndarray) -> EstimationReport:
     real part and D its antisymmetrized imaginary part.  The report has
     the tensor's leading shape; where Q is singular B is +inf and R nan.
     """
-    q, d = split_tensor(np.asarray(tensor))
+    q, d = split_tensor(tensor)
     return EstimationReport(QfiMatrix(q), UhlmannMatrix(d))
 
 
