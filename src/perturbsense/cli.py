@@ -7,6 +7,13 @@ Subcommands:
 * ``scan``         B(t), R(t) table over an interaction-time grid
 * ``oracle-check`` engine vs exact-diagonalization relative errors
 
+CSV tables hold one row per point.  At any number P of couplings their
+columns are Q's upper triangle row by row (Q11, Q12, ..., Q22, ...), D's
+strict upper triangle (D12, ...), B and R, after ``t`` for ``dynamic``
+and ``scan``; ``static`` then adds N1 .. NP and, at P = 2, omega.
+``oracle-check`` names its Q and D entries ``<scheme>_<column>`` in that
+order (``static_Q11``, ..., ``static_D12``, ..., then ``dynamic_Q11``, ...).
+
 Models are either presets (``qubit``, ``qubit2``, ``qutrit``,
 ``anharmonic``) or a JSON Hamiltonian file with fields ``dim``, ``h0``
 and ``perturbations``, matrices encoded as nested arrays of [re, im]
@@ -170,31 +177,39 @@ def _report_fields(q, d, b, r) -> dict:
     }
 
 
-def _flat_header(p: int) -> list[str]:
-    cols = [f"Q{i + 1}{j + 1}" for i in range(p) for j in range(i, p)]
-    cols += [f"D{i + 1}{j + 1}" for i in range(p) for j in range(i + 1, p)]
-    return cols + ["B", "R"]
+@functools.cache
+def _layout(p: int) -> tuple:
+    """The Q and D columns of every table, Q's upper triangle row by row, then D's
+    strict upper triangle: their two (row, column) index pairs and their names,
+    gathered from a P x P matrix of "ij" labels by the same indices as the numbers."""
+    upper, strict = np.triu_indices(p), np.triu_indices(p, 1)
+    n = np.arange(1, p + 1).astype(str)
+    ij = np.char.add(n[:, None], n)
+    names = np.char.add("Q", ij[upper]).tolist() + np.char.add("D", ij[strict]).tolist()
+    return upper, strict, tuple(names)
 
 
-def _flat_columns(q, d, b, r) -> np.ndarray:
-    """Q (upper triangle), D (strict upper triangle), B and R as one table row per point.
+def _flat_header(p: int, *extra: str) -> list[str]:
+    """Names of the :func:`_flat_columns`: Q11, Q12, ..., D12, ..., then ``extra``."""
+    return [*_layout(p)[2], *extra]
 
-    Takes one report's parts for one row, or a scan's (T, P, P) and (T,)
-    arrays for one row per grid time; returns shape (T, k), in the column
-    order of :func:`_flat_header`.
+
+def _flat_columns(q, d, *extra) -> np.ndarray:
+    """Q and D as laid out by :func:`_layout`, then each of ``extra``, one row per point.
+
+    Takes one point's P x P matrices and scalars (B and R) for one row,
+    or a scan's (T, P, P) and (T,) arrays for one row per grid time;
+    returns shape (T, k), in the column order of :func:`_flat_header`.
     """
     p = np.shape(q)[-1]
-    iq, jq = np.triu_indices(p)
-    id_, jd = np.triu_indices(p, 1)
+    (iq, jq), (id_, jd), _ = _layout(p)
     q, d = np.reshape(q, (-1, p, p)), np.reshape(d, (-1, p, p))
-    return np.column_stack([q[:, iq, jq], d[:, id_, jd], np.ravel(b), np.ravel(r)])
+    return np.column_stack([q[:, iq, jq], d[:, id_, jd], *map(np.ravel, extra)])
 
 
 def _run_static(args) -> str:
     problem, name = _resolve_problem(args)
-    corrections = [
-        first_order_correction(problem, mu) for mu in range(problem.num_parameters)
-    ]
+    corrections = [first_order_correction(problem, mu) for mu in range(problem.num_parameters)]
     report = static_report(corrections)
     anharmonic = PRESET_KINDS.get(name) is models.ModelKind.ANHARMONIC_2PARAM
     norms = [c.squared_norm for c in corrections]
@@ -212,7 +227,7 @@ def _run_static(args) -> str:
         }
         return _json(payload)
 
-    header = _flat_header(problem.num_parameters)
+    header = _flat_header(problem.num_parameters, "B", "R")
     row = [*_flat_columns(*_parts(report))[0], *norms]
     header += [f"N{mu + 1}" for mu in range(problem.num_parameters)]
     if omega is not None and problem.num_parameters == 2:
@@ -237,7 +252,7 @@ def _run_dynamic(args) -> str:
             **_report_fields(*_parts(report)),
         }
         return _json(payload)
-    header = ["t"] + _flat_header(problem.num_parameters)
+    header = ["t"] + _flat_header(problem.num_parameters, "B", "R")
     return ",".join(header) + "\n" + _csv([[args.time, *_flat_columns(*_parts(report))[0]]])
 
 
@@ -270,34 +285,10 @@ def _run_scan(args) -> str:
         }
         return _json(payload)
 
-    lines = []
+    header = ",".join(["t"] + _flat_header(problem.num_parameters, "B", "R")) + "\n"
     if scan.static_reference is not None:
-        lines.append(f"# static_reference = {_fmt(scan.static_reference)}")
-    lines.append(",".join(["t"] + _flat_header(problem.num_parameters)))
-    columns = _flat_columns(q, d, b, r)
-    return "\n".join(lines) + "\n" + _csv(np.column_stack([scan.times, columns]))
-
-
-def _rel_error(engine: float, reference: float) -> float:
-    return abs(engine - reference) / max(abs(engine), abs(reference), 1e-9)
-
-
-def _entry_checks(
-    label: str, engine: np.ndarray, oracle_m: np.ndarray, antisymmetric: bool = False
-) -> list[dict]:
-    checks = []
-    p = engine.shape[0]
-    for i in range(p):
-        for j in range(i + 1 if antisymmetric else i, p):
-            checks.append(
-                {
-                    "name": f"{label}{i + 1}{j + 1}",
-                    "engine": float(engine[i, j]),
-                    "oracle": float(oracle_m[i, j]),
-                    "rel_error": _rel_error(float(engine[i, j]), float(oracle_m[i, j])),
-                }
-            )
-    return checks
+        header = f"# static_reference = {_fmt(scan.static_reference)}\n" + header
+    return header + _csv(np.column_stack([scan.times, _flat_columns(q, d, b, r)]))
 
 
 def _run_oracle_check(args) -> str:
@@ -306,47 +297,45 @@ def _run_oracle_check(args) -> str:
     problem, name = _resolve_problem(args)
     lam = np.asarray(args.lambdas, dtype=float)
     if lam.size != problem.num_parameters:
-        raise ValueError(
-            f"--lambda needs {problem.num_parameters} value(s) for model '{name}'"
-        )
-    corrections = [
-        first_order_correction(problem, mu) for mu in range(problem.num_parameters)
-    ]
-    schemes = [("static", static_report(corrections))]
+        raise ValueError(f"--lambda needs {problem.num_parameters} value(s) for model '{name}'")
+    corrections = [first_order_correction(problem, mu) for mu in range(problem.num_parameters)]
+    reports = {"static": static_report(corrections)}
     if args.time is None:
         def family(lambdas):
             return (exact_eigenstate(problem, lambdas),)
     else:
         psi0 = _resolve_probe(args, problem, name)
-        schemes.append(("dynamic", dynamic_report(problem, psi0, args.time)))
+        reports["dynamic"] = dynamic_report(problem, psi0, args.time)
         family = exact_families(problem, psi0, args.time)
-    checks = []
-    for (label, engine), (q_fd, d_fd) in zip(schemes, fd_qfim(family, lam, eps=args.eps)):
-        checks += _entry_checks(f"{label}_Q", engine.qfim.entries, q_fd.entries)
-        checks += _entry_checks(
-            f"{label}_D", engine.uhlmann.entries, d_fd.entries, antisymmetric=True
-        )
+    pairs = fd_qfim(family, lam, eps=args.eps)
+    # one table row per scheme, read flat: <scheme>_<column> in table order
+    names = [f"{label}_{n}" for label in reports for n in _flat_header(problem.num_parameters)]
+    engine = _flat_columns(
+        [r.qfim.entries for r in reports.values()], [r.uhlmann.entries for r in reports.values()]
+    ).ravel()
+    oracle = _flat_columns([q.entries for q, _ in pairs], [d.entries for _, d in pairs]).ravel()
+    scale = np.maximum(np.maximum(np.abs(engine), np.abs(oracle)), 1e-9)
+    rel_error = np.abs(engine - oracle) / scale
 
     # summary over entries the leading-order engine resolves; relative errors
     # against its exact zeros only reflect the finite-lambda evaluation point
-    significant = [c["rel_error"] for c in checks if abs(c["engine"]) > 1e-3]
+    significant = rel_error[np.abs(engine) > 1e-3]
     if args.output_format == "json":
+        table = zip(names, engine.tolist(), oracle.tolist(), rel_error.tolist())
         payload = {
             "command": "oracle-check",
             "model": name,
             "lambda": lam.tolist(),
             "eps": args.eps,
             "time": args.time,
-            "max_rel_error": max(significant) if significant else 0.0,
-            "checks": checks,
+            "max_rel_error": float(np.max(significant, initial=0.0)),
+            "checks": [
+                {"name": n, "engine": e, "oracle": o, "rel_error": r} for n, e, o, r in table
+            ],
         }
         return _json(payload)
-    lines = ["check,engine,oracle,rel_error"]
-    for c in checks:
-        lines.append(
-            f"{c['name']},{_fmt(c['engine'])},{_fmt(c['oracle'])},{_fmt(c['rel_error'])}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = _csv(np.column_stack([engine, oracle, rel_error])).splitlines()
+    return "\n".join(["check,engine,oracle,rel_error", *map(",".join, zip(names, rows))]) + "\n"
 
 
 def _finite_float(text: str) -> float:
