@@ -159,7 +159,7 @@ class OverlapMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
+        m = np.array(self.entries, dtype=complex)  # a private copy, frozen below
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise ValueError("overlap matrix must be Hermitian")
         if np.max(np.abs(np.diag(m) - 1.0)) > 1e-10:

@@ -79,8 +79,8 @@ def _qfim_spectrum(m: np.ndarray) -> np.ndarray:
 
 
 def _square(entries, what: str) -> np.ndarray:
-    """``entries`` as a float stack of square matrices (..., P, P)."""
-    m = np.asarray(entries, dtype=float)
+    """A private float copy of ``entries``, a stack of square matrices (..., P, P)."""
+    m = np.array(entries, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
     return m
@@ -93,7 +93,8 @@ class QfiMatrix:
 
     ``spectrum`` holds the ascending eigenvalues (..., P) computed by the
     positive-semidefiniteness check; B and R are read from it.  A failing
-    check on a stack names the first bad index.
+    check on a stack names the first bad index.  Both arrays are read-only,
+    and ``entries`` is a copy, so the caller's array stays writeable.
     """
 
     entries: np.ndarray
@@ -114,7 +115,8 @@ class QfiMatrix:
 
 @dataclass(frozen=True, eq=False)
 class UhlmannMatrix:
-    """Real antisymmetric mean Uhlmann curvature matrix, or a stack of them."""
+    """Real antisymmetric mean Uhlmann curvature matrix, or a stack of them,
+    held as a read-only copy of the caller's array."""
 
     entries: np.ndarray
 
@@ -232,28 +234,33 @@ def _quantumness(
     return r
 
 
-def bound_b(q: QfiMatrix) -> float:
-    """Total-variance bound Tr[Q^-1]; +inf when Q is numerically singular."""
-    return float(_bound(q.spectrum, _rank(q.spectrum) == q.num_parameters))
+def bound_b(q: QfiMatrix) -> np.floating | np.ndarray:
+    """Total-variance bound Tr[Q^-1] of each QFIM of the stack; +inf where Q is
+    numerically singular.  A float64 scalar for one QFIM, else of shape (...)."""
+    return _bound(q.spectrum, _rank(q.spectrum) == q.num_parameters)[()]
 
 
-def quantumness_r(q: QfiMatrix, d: UhlmannMatrix) -> float:
-    """Asymptotic incompatibility R = ||i Q^-1 D||_inf, in [0, 1].
+def quantumness_r(q: QfiMatrix, d: UhlmannMatrix) -> np.floating | np.ndarray:
+    """Asymptotic incompatibility R = ||i Q^-1 D||_inf, in [0, 1], of each
+    point of the stack: a float64 scalar for one point, else of shape (...).
 
     For two parameters this reduces to sqrt(det D / det Q); for general P
     it is the largest absolute eigenvalue of Q^-1 D (those eigenvalues are
     purely imaginary pairs, so the absolute value is the spectral norm of
-    i Q^-1 D).
+    i Q^-1 D).  A singular QFIM raises, naming the first singular point.
     """
-    if d.num_parameters != q.num_parameters:
+    if d.entries.shape != q.entries.shape:
         raise DimensionMismatchError("QFIM and Uhlmann matrix sizes differ")
     eig = q.spectrum
-    rank = int(_rank(eig))
-    if rank < q.num_parameters:
+    rank = _rank(eig)
+    regular = rank == q.num_parameters
+    if not regular.all():
+        k = np.unravel_index(np.argmin(regular), regular.shape)
         raise SingularQfimError(
-            "QFIM is singular; parameters are not jointly identifiable", rank=rank
+            f"QFIM is singular{_at(k)}; parameters are not jointly identifiable",
+            rank=int(rank[k]),
         )
-    return float(_quantumness(q.entries, d.entries, eig, np.asarray(True)))
+    return _quantumness(q.entries, d.entries, eig, regular)[()]
 
 
 def sld_two_param_explicit(

@@ -13,6 +13,7 @@ from perturbsense import (
     DimensionMismatchError,
     EstimationReport,
     HermitianOperator,
+    OverlapMatrix,
     PerturbationProblem,
     QfiMatrix,
     SingularQfimError,
@@ -311,6 +312,25 @@ class TestUhlmannMatrix:
             UhlmannMatrix(np.array(entries))
 
 
+@pytest.mark.parametrize(
+    "kind, entries",
+    [
+        (QfiMatrix, np.array([[2.0, 0.5], [0.5, 1.0]])),
+        (UhlmannMatrix, np.array([[0.0, 0.5], [-0.5, 0.0]])),
+        (OverlapMatrix, np.array([[1.0, 0.5j], [-0.5j, 1.0]])),
+    ],
+    ids=["qfim", "uhlmann", "overlap"],
+)
+def test_matrix_types_keep_a_private_copy(kind, entries):
+    # the caller's array already has the stored dtype, so a view would be
+    # free to take; it must stay the caller's, writeable and unshared
+    m = entries.copy()
+    matrix = kind(m)
+    assert m.flags.writeable and not matrix.entries.flags.writeable
+    m[0, 1] = m[1, 0] = 0.25
+    assert np.array_equal(matrix.entries, entries)
+
+
 class TestStaticReport:
     def test_one_spectrum_per_report(self, monkeypatch):
         cs = corrections_for(ANHARMONIC)
@@ -508,6 +528,28 @@ class TestReportStack:
             assert type(b) is np.float64 and b == math.inf
             assert type(r) is np.float64 and math.isnan(r)
         assert single.singular and stack.singular.tolist() == [False, True, False, True]
+
+    @pytest.mark.parametrize("n_params", [2, 3])
+    def test_bound_and_quantumness_read_a_stack(self, n_params):
+        rng = np.random.default_rng(1950 + n_params)
+        psi = random_state(rng, 6)
+        tangents = rng.normal(size=(3, n_params, 6)) + 1j * rng.normal(size=(3, n_params, 6))
+        tangents[1, -1] = 2.0 * tangents[1, 0]  # the middle QFIM has rank P - 1
+        report = make_report(geometric_tensor(psi, tangents))
+        b = bound_b(report.qfim)
+        assert b.shape == (3,) and np.array_equal(b, report.bound_b) and math.isinf(b[1])
+        with pytest.raises(SingularQfimError, match="singular at grid index 1;") as info:
+            quantumness_r(report.qfim, report.uhlmann)
+        assert info.value.rank == n_params - 1
+        regular = make_report(geometric_tensor(psi, tangents[[0, 2]]))
+        r = quantumness_r(regular.qfim, regular.uhlmann)
+        assert r.shape == (2,) and np.array_equal(r, report.quantumness_r[[0, 2]])
+        single = QfiMatrix(report.qfim.entries[0])
+        assert type(bound_b(single)) is np.float64 and bound_b(single) == b[0]
+        r0 = quantumness_r(single, UhlmannMatrix(report.uhlmann.entries[0]))
+        assert type(r0) is np.float64 and r0 == r[0]
+        with pytest.raises(DimensionMismatchError):
+            quantumness_r(report.qfim, UhlmannMatrix(report.uhlmann.entries[0]))
 
     def test_unequal_shapes_refused(self):
         q = QfiMatrix(np.eye(2))
