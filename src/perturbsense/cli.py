@@ -85,7 +85,7 @@ def _json_number(x: float | None) -> float | None:
 
 
 def _pairs(matrix: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+    return np.stack([matrix.real, matrix.imag], axis=-1).tolist()
 
 
 def _matrix_from_pairs(obj, dim: int, what: str) -> np.ndarray:
