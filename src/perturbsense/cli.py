@@ -181,7 +181,8 @@ def _report_fields(q, d, b, r) -> dict:
 def _layout(p: int) -> tuple:
     """The Q and D columns of every table, Q's upper triangle row by row, then D's
     strict upper triangle: their two (row, column) index pairs and their names,
-    gathered from a P x P matrix of "ij" labels by the same indices as the numbers."""
+    gathered from a P x P matrix of "ij" labels by the same indices as the numbers.
+    Cached per P, so the index arrays are shared: read them, never write them."""
     upper, strict = np.triu_indices(p), np.triu_indices(p, 1)
     n = np.arange(1, p + 1).astype(str)
     ij = np.char.add(n[:, None], n)

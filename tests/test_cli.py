@@ -304,6 +304,22 @@ class TestTableFormat:
         for x in self.SPECIAL:
             assert cli._csv([[x]]) == f"{x:.17g}\n" == cli._fmt(x) + "\n"
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_each_column_holds_the_entry_it_names(self, p):
+        # entry (i, j) of Q holds 10 i + j and of D, above the diagonal, its
+        # negative, so every number spells out its column's name (1-based)
+        ij = 10.0 * np.arange(1, p + 1)[:, None] + np.arange(1, p + 1)
+        q, d = np.triu(ij) + np.triu(ij, 1).T, -(np.triu(ij, 1) - np.triu(ij, 1).T)
+        stack = np.stack([q, 2.0 * q]), np.stack([d, 2.0 * d])
+        header = cli._flat_header(p, "B", "R")
+        rows = range(1, p + 1)
+        assert header == [f"Q{i}{j}" for i in rows for j in rows if j >= i] + [
+            f"D{i}{j}" for i in rows for j in rows if j > i] + ["B", "R"]
+        table = cli._flat_columns(*stack, [7.0, 8.0], [0.5, 0.25])
+        expected = [(1.0 if n[0] == "Q" else -1.0) * int(n[1:]) for n in header[:-2]]
+        assert table[:, :-2].tolist() == [expected, [2.0 * x for x in expected]]
+        assert table[:, -2:].tolist() == [[7.0, 0.5], [8.0, 0.25]]
+
 
 class TestHamiltonianFile:
     @staticmethod
