@@ -34,8 +34,8 @@ MODELS = (
     (["--model", "anharmonic", "--fock-dim", "128"], ["1e-3", "-1e-3"]),
     # model files, read from this directory: a dense real one, whose real
     # products round differently from complex ones, a real H0 with one
-    # complex coupling, and three complex couplings, the one case whose
-    # Q and D columns run past a single pair (Q11 .. Q33, D12, D13, D23)
+    # complex coupling, and a real H0 with three complex couplings, the one
+    # case with more than one pair of couplings (Q11 .. Q33, D12, D13, D23)
     (["--model", "dense_real.json"], ["1e-3", "-1e-3"]),
     (["--model", "real_h0_complex_coupling.json"], ["1e-3", "-1e-3"]),
     (["--model", "three_complex_couplings.json"], ["1e-3", "-1e-3", "5e-4"]),
